@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .dsl import THEORY_NAMES, Scenario, parse_scenario
 from .judge import Mechanism, judge
-from .logic import DEFAULT_BUDGET_BITS, FelicityError
+from .logic import FelicityError, ResourceBudgetError, check_budget
 from .report import build_report, render_report, render_traces
 from .sexpr import ParseError
 
@@ -103,11 +103,10 @@ def _load(path: str, config: RunConfig) -> Scenario:
     if config.theories is not None:
         scenario = dc_replace(scenario, enabled_theories=config.theories)
     if config.bound is not None:
-        if config.bound * len(scenario.preds) > DEFAULT_BUDGET_BITS:
-            raise FelicityError(
-                f"{path}: bound {config.bound} x {len(scenario.preds)} predicates"
-                f" exceeds the {DEFAULT_BUDGET_BITS}-bit enumeration budget"
-            )
+        try:
+            check_budget(config.bound, len(scenario.preds))
+        except ResourceBudgetError as exc:
+            raise FelicityError(f"{path}: {exc}") from None
         scenario = dc_replace(scenario, max_universe=config.bound)
     return scenario
 

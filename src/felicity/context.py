@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 
 from .logic import (
     DEFAULT_BOUND,
@@ -99,22 +98,18 @@ def _require_plain(lf: LogicalForm):
         raise UnsupportedNestingError(f"nested epistemic operators unsupported: {lf!r}")
 
 
-@lru_cache(maxsize=2048)
-def _worlds(ctx: ContextState) -> WorldSet:
+def worlds(ctx: ContextState) -> WorldSet:
+    """All labeled models of size <= bound satisfying both context tiers.
+
+    Nonempty by the context consistency invariant; enumeration order is
+    canonical, so the result is deterministic. No engine path needs the
+    worlds themselves, so they are enumerated afresh on each call.
+    """
     return tuple(
         m
         for m in enumerate_models(ctx.preds, ctx.bound)
         if all(evaluate(lf, m, ctx.scales) for lf in ctx.facts)
     )
-
-
-def worlds(ctx: ContextState) -> WorldSet:
-    """All models of size <= bound satisfying both context tiers.
-
-    Nonempty by the context consistency invariant; enumeration order is
-    canonical, so the result is deterministic.
-    """
-    return _worlds(ctx)
 
 
 def k_holds(ctx: ContextState, lf: LogicalForm) -> bool:

@@ -2,7 +2,9 @@
 
 Only parentheses and bare atoms exist; no strings, quoting, or comments.
 Every node remembers its line/column so parse errors can point at the
-offending token.
+offending token. Lists nest at most MAX_DEPTH deep, so that the recursive
+builders, renderers and evaluators downstream stay within Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .logic import FelicityError
+
+MAX_DEPTH = 100
 
 
 class ParseError(FelicityError):
@@ -67,6 +71,8 @@ def read_all(text: str) -> list[SNode]:
     stack: list[tuple[list[SNode], int, int]] = []
     for tok, line, col in _tokenize(text):
         if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"lists nest deeper than {MAX_DEPTH} levels", line, col)
             stack.append(([], line, col))
         elif tok == ")":
             if not stack:

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 from felicity.cli import main
+from felicity.sexpr import MAX_DEPTH
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -140,6 +141,31 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--fail-fast", str(w1), str(w2))
         assert code == 1
         assert "MISMATCH w1" in out and "w2" not in out
+
+
+def _nested_not_scenario(path, depth):
+    target = "(not " * depth + "(some a b)" + ")" * depth
+    path.write_text(
+        "(scenario deep (predicates (a :stative) (b :stative))"
+        f" (target {target}) (expect felicitous))"
+    )
+    return str(path)
+
+
+class TestNesting:
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        deep = _nested_not_scenario(tmp_path / "deep.sexp", 3000)
+        code, out, err = run_cli(capsys, "check", deep)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "deep.sexp" in err and "nest" in err
+
+    def test_deepest_accepted_nesting_is_judged(self, capsys, tmp_path):
+        # scenario and target take two levels, the innermost clause one
+        deep = _nested_not_scenario(tmp_path / "deep.sexp", MAX_DEPTH - 3)
+        code, out, _ = run_cli(capsys, "check", "--explain", deep)
+        assert code == 0
+        assert "ok deep" in out
 
 
 class TestExplain:

@@ -8,6 +8,7 @@ asserted, so the two routes never collapse into one.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from felicity import (
     ALL,
@@ -42,6 +43,7 @@ from felicity import (
     is_intersective_conjunction,
     render_lf,
 )
+from felicity import logic
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, LEFT, TALL, WARM, WON
 
 
@@ -475,3 +477,103 @@ class TestScales:
         assert alts.members == ()
         expansion = expand_qi(ITALIAN, Atom(WARM), lopsided)
         assert render_lf(expansion) == "(or (some italian warm))"
+
+
+# ---------------------------------------------------------------------------
+# The class-bitset oracle against the labeled models
+# ---------------------------------------------------------------------------
+
+# The first predicate is eventive, so and-seq is available at every k.
+_POOL = (
+    PredicateSym("e", "eventive"),
+    PredicateSym("s"),
+    PredicateSym("f", "eventive"),
+)
+
+
+def _scopes(preds, depth):
+    leaf = st.sampled_from([Atom(p) for p in preds] + [TRUE])
+    eventive = st.sampled_from([Atom(p) for p in preds if p.temporal_class == "eventive"])
+    if depth <= 0:
+        return leaf
+    sub = _scopes(preds, depth - 1)
+    conjunct = st.one_of(eventive, st.builds(NotP, eventive), st.builds(AndConc, eventive, sub))
+    return st.one_of(
+        leaf,
+        st.builds(NotP, sub),
+        st.builds(AndConc, sub, sub),
+        st.builds(AndSeq, conjunct, conjunct),
+    )
+
+
+def _forms(preds, depth):
+    quants = st.builds(
+        Quant, st.sampled_from([SOME, ALL, MOST, NO, QI]), st.sampled_from(preds),
+        _scopes(preds, 2),
+    )
+    # only over a member of the (some most all) scale, where it is defined
+    scalar = st.builds(
+        Quant, st.sampled_from([SOME, MOST, ALL]), st.sampled_from(preds), _scopes(preds, 2)
+    )
+    if depth <= 0:
+        return st.one_of(quants, st.builds(Only, scalar))
+    sub = _forms(preds, depth - 1)
+    return st.one_of(
+        quants,
+        st.builds(Only, scalar),
+        st.builds(NotLF, sub),
+        st.builds(AndLF, sub, sub),
+        st.builds(OrLF, st.tuples(sub, sub)),
+        st.builds(OrLF, st.tuples(sub, sub, sub)),
+    )
+
+
+_FORMS = {k: st.lists(_forms(_POOL[:k], 1), min_size=1, max_size=3) for k in (1, 2, 3)}
+
+
+@st.composite
+def _sequents(draw):
+    k = draw(st.integers(1, 3))
+    return _POOL[:k], draw(st.integers(1, 4)), draw(_FORMS[k])
+
+
+class TestClassOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_sequents())
+    def test_matches_brute_force_over_labeled_models(self, full_registry, sequent):
+        preds, bound, forms = sequent
+        models = list(enumerate_models(preds, bound))
+        rows = [[evaluate(lf, m, full_registry) for lf in forms] for m in models]
+        *premises, conclusion = forms
+        assert entails(premises, conclusion, preds, bound, full_registry) == all(
+            row[-1] for row in rows if all(row[:-1])
+        )
+        assert consistent(forms, preds, bound, full_registry) == any(all(row) for row in rows)
+
+    def test_only_without_scale_rejected(self):
+        with pytest.raises(ScaleError):
+            consistent([Only(some(ITALIAN, Atom(WARM)))], (ITALIAN, WARM))
+
+    def test_duplicate_predicate_names_rejected(self):
+        with pytest.raises(WellFormednessError):
+            consistent([some(ITALIAN, Atom(WARM))], (ITALIAN, WARM, PredicateSym("warm")))
+
+    def test_walk_without_table_matches_table(self, full_registry, monkeypatch):
+        # past MAX_TABLE_BITS there is no per-cell table and every quantifier
+        # walks the classes; both routes must give the same bitsets
+        def truths():
+            logic._classes.cache_clear()
+            logic._truth.cache_clear()
+            return [
+                logic._truth(Quant(q, ITALIAN, scope), ITALIAN_PREDS, bound, full_registry)
+                for q in (SOME, ALL, MOST, NO)
+                for scope in (Atom(WARM), NotP(Atom(ITALIAN)), AndConc(Atom(WARM), Atom(BLOND)))
+                for bound in (1, 2, 3)
+            ]
+
+        with_table = truths()
+        monkeypatch.setattr(logic, "MAX_TABLE_BITS", 0)
+        assert truths() == with_table
+        monkeypatch.undo()
+        logic._classes.cache_clear()
+        logic._truth.cache_clear()
