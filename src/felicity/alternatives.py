@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable
 
 from .logic import (
@@ -160,6 +160,7 @@ def _tag(
     return Tag.INCOMPARABLE
 
 
+@lru_cache(maxsize=1024)
 def substitution_alternatives(
     lf: LogicalForm, scales: ScaleRegistry, bound: int = DEFAULT_BOUND
 ) -> AlternativeSet:
@@ -167,7 +168,8 @@ def substitution_alternatives(
 
     Tags compare against the origin by bounded entailment with existential
     import on the restrictors. A form with no scalar item on any scale gets
-    an empty set, which is not an error.
+    an empty set, which is not an error. Memoized: every predictor asks for
+    the alternatives of the same clauses, and the result is immutable.
     """
     preds = tuple({p.name: p for p in lf_predicates(lf)}.values())
     seen: dict[LogicalForm, None] = {}
@@ -206,9 +208,13 @@ def exh(
     """Strengthen lf by negating every stronger alternative whose negation
     is consistent with it.
 
-    Deliberately blind: no context argument exists. Innocent exclusion is
-    unnecessary for this fragment (no disjunctive assertions are
-    exhaustified), so plain negation of consistent stronger mates suffices.
+    Deliberately blind: no context argument exists. Each negation is tested
+    on its own; there is no innocent exclusion. That is exact when the
+    admitted negations are jointly consistent with lf, as for a single
+    quantified clause. Disjunctive targets do reach this function, though:
+    for ``(or (some a b) (some a c))`` on the (some all) scale, the negations
+    of the stronger alternatives together contradict lf, so the result is
+    inconsistent.
     """
     if alts.origin != lf:
         raise ValueError("alternative set was computed for a different origin")

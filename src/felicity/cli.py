@@ -94,7 +94,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
 def _load(path: str, config: RunConfig) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FelicityError(f"{path}: {exc}") from None
     try:
         scenario = parse_scenario(text, source=path)
@@ -181,6 +181,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_explain(args.path, config)
     except FelicityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # Exit 1 means "mismatch": an engine fault must not look like one.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

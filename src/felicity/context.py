@@ -46,8 +46,15 @@ class UpdateContradictionError(FelicityError):
     """A discourse update contradicts the context it extends."""
 
     def __init__(self, lf: LogicalForm):
-        super().__init__(f"discourse update contradicts the context: {lf!r}")
+        super().__init__(lf)
         self.lf = lf
+
+    def __str__(self):
+        # Rendered only when shown: continuation_felicity catches this
+        # error as a verdict. dsl imports this module, hence the late import.
+        from .dsl import render_lf
+
+        return f"discourse update contradicts the context: {render_lf(self.lf)}"
 
 
 class UnsupportedNestingError(FelicityError):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -54,10 +55,12 @@ from .logic import (
     PredicateSym,
     Quant,
     Quantifier,
+    ResourceBudgetError,
     ScaleError,
     TRUE,
     TruePred,
     WellFormednessError,
+    check_budget,
     consistent,
 )
 from .scales import Scale, ScaleRegistry, default_registry
@@ -186,6 +189,8 @@ def parse_pexpr(text: str, preds: Iterable[PredicateSym] | Mapping[str, Predicat
     return _build_pexpr(read_one(text), _pred_table(preds))
 
 
+# Traces and reports render the same few forms many times over.
+@lru_cache(maxsize=4096)
 def render_pexpr(p: PredExpr) -> str:
     if isinstance(p, Atom):
         return p.pred.name
@@ -200,8 +205,9 @@ def render_pexpr(p: PredExpr) -> str:
     raise TypeError(f"not a predicate expression: {p!r}")
 
 
+@lru_cache(maxsize=4096)
 def render_lf(lf: LogicalForm) -> str:
-    """Canonical text for a logical form; parse_lf(render_lf(x)) == x.
+    """Canonical text for a logical form; parse_lf(render_lf(x)) is x.
 
     Certainty/possibility wrappers render as (know ...)/(poss ...) for
     reports and traces, but are not part of the input grammar.
@@ -363,6 +369,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 atom.col,
             )
         max_universe = int(atom.text)
+    try:
+        check_budget(max_universe, len(preds))
+    except ResourceBudgetError as exc:
+        node = sections.get("individuals", sections["predicates"])
+        raise ParseError(str(exc), node.line, node.col) from None
 
     scales = _parse_scales(sections["scales"]) if "scales" in sections else default_registry()
 
@@ -421,6 +432,14 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(
             f"{source}: common knowledge and discourse of {name!r} are jointly"
             f" inconsistent at bound {max_universe}.{detail}"
+        )
+    if continuations and not consistent(facts + (target,), pred_tuple, max_universe, scales):
+        node = sections["continuations"]
+        raise ParseError(
+            f"continuations need a target the context admits, but {render_lf(target)}"
+            f" contradicts common knowledge and discourse at bound {max_universe}",
+            node.line,
+            node.col,
         )
 
     return Scenario(

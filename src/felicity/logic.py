@@ -16,14 +16,19 @@ up to the bound. Each form compiles once into a Python-int bitset over the
 classes; entailment and consistency are then a few bitwise operations.
 ``Model``, ``enumerate_models`` and ``evaluate`` remain as the labeled
 reference semantics.
+
+Form nodes are hash-consed: building a node equal to a live one returns
+that one, and each node hashes once, from its children's cached hashes.
+The oracle's caches therefore find a form in O(1) instead of walking it.
 """
 
 from __future__ import annotations
 
 import string
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
@@ -67,9 +72,73 @@ class WellFormednessError(FelicityError):
 # Syntax
 # ---------------------------------------------------------------------------
 
+# Live interned values: (class, *field values) -> weak reference to the
+# value. An entry goes when its value is no longer referenced.
+_INTERNED: dict[tuple, weakref.ref] = {}
 
-@dataclass(frozen=True)
-class PredicateSym:
+
+def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED):
+    # The table is bound as a default so that it outlives module teardown.
+    if table.get(key) is ref:
+        table.pop(key, None)
+
+
+class _Interning(type):
+    """Metaclass of ``Interned``: a call returns the live equal value if
+    there is one, and builds (and validates) a new value only otherwise."""
+
+    def __call__(cls, *args, **kwargs):
+        if not kwargs and len(args) == len(cls.__match_args__):
+            try:
+                ref = _INTERNED.get((cls, *args))
+            except TypeError:  # an unhashable argument, e.g. a list
+                ref = None
+            value = ref() if ref is not None else None
+            if value is not None:
+                return value
+        # Keywords, defaults and arguments that __post_init__ normalizes
+        # take this path: build first, then look up by the stored fields.
+        value = super().__call__(*args, **kwargs)
+        key = (cls, *value._fields())
+        ref = _INTERNED.get(key)
+        live = ref() if ref is not None else None
+        if live is not None:
+            return live
+        object.__setattr__(value, "_hash", hash(key))
+        _INTERNED[key] = weakref.ref(value, partial(_forget, key))
+        return value
+
+
+class Interned(metaclass=_Interning):
+    """Base of frozen dataclasses whose equal values share one object.
+
+    The hash is computed once, at construction. Equality stays structural,
+    with identity as its fast path, so a duplicate (from a thread race, say)
+    is slower to compare but never wrong. Subclasses are declared with
+    ``@dataclass(frozen=True, eq=False)``.
+    """
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes are salted per
+        # process, so a cached hash must not travel to another one.
+        return self.__class__, self._fields()
+
+
+@dataclass(frozen=True, eq=False)
+class PredicateSym(Interned):
     """A unary predicate symbol with a fixed temporal class."""
 
     name: str
@@ -83,34 +152,34 @@ class PredicateSym:
             )
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False)
+class Atom(Interned):
     pred: PredicateSym
 
 
-@dataclass(frozen=True)
-class TruePred:
+@dataclass(frozen=True, eq=False)
+class TruePred(Interned):
     """The trivially true predicate (denotes the whole universe)."""
 
 
 TRUE = TruePred()
 
 
-@dataclass(frozen=True)
-class NotP:
+@dataclass(frozen=True, eq=False)
+class NotP(Interned):
     body: "PredExpr"
 
 
-@dataclass(frozen=True)
-class AndConc:
+@dataclass(frozen=True, eq=False)
+class AndConc(Interned):
     """Concurrent predicate conjunction; denotes set intersection."""
 
     left: "PredExpr"
     right: "PredExpr"
 
 
-@dataclass(frozen=True)
-class AndSeq:
+@dataclass(frozen=True, eq=False)
+class AndSeq(Interned):
     """Sequenced predicate conjunction: events in order, not an intersection.
 
     Truth-conditionally an individual must satisfy both conjuncts (the
@@ -154,15 +223,15 @@ NO = Quantifier.NO
 QI = Quantifier.QI
 
 
-@dataclass(frozen=True)
-class Quant:
+@dataclass(frozen=True, eq=False)
+class Quant(Interned):
     quantifier: Quantifier
     restrictor: PredicateSym
     scope: PredExpr
 
 
-@dataclass(frozen=True)
-class Only:
+@dataclass(frozen=True, eq=False)
+class Only(Interned):
     """Overt exhaustivity marker; applies only to a quantified clause."""
 
     body: "LogicalForm"
@@ -172,35 +241,36 @@ class Only:
             raise WellFormednessError("only applies to a quantified clause")
 
 
-@dataclass(frozen=True)
-class NotLF:
+@dataclass(frozen=True, eq=False)
+class NotLF(Interned):
     body: "LogicalForm"
 
 
-@dataclass(frozen=True)
-class AndLF:
+@dataclass(frozen=True, eq=False)
+class AndLF(Interned):
     left: "LogicalForm"
     right: "LogicalForm"
 
 
-@dataclass(frozen=True)
-class OrLF:
+@dataclass(frozen=True, eq=False)
+class OrLF(Interned):
     disjuncts: tuple["LogicalForm", ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "disjuncts", tuple(self.disjuncts))
         if not self.disjuncts:
             raise WellFormednessError("or requires at least one disjunct")
 
 
-@dataclass(frozen=True)
-class Know:
+@dataclass(frozen=True, eq=False)
+class Know(Interned):
     """Certainty operator over the context's worlds; opaque to plain eval."""
 
     body: "LogicalForm"
 
 
-@dataclass(frozen=True)
-class Poss:
+@dataclass(frozen=True, eq=False)
+class Poss(Interned):
     """Possibility operator, the dual of Know."""
 
     body: "LogicalForm"
@@ -273,6 +343,20 @@ def is_epistemic_free(lf: LogicalForm) -> bool:
     if isinstance(lf, OrLF):
         return all(is_epistemic_free(d) for d in lf.disjuncts)
     raise TypeError(f"not a logical form: {lf!r}")
+
+
+def _form_facts(lf: LogicalForm) -> tuple[bool, frozenset[str], tuple[PredicateSym, ...]]:
+    """Whether lf is epistemic-free, the names of its predicates and its
+    restrictors, computed on the first call for each form and then kept on it."""
+    facts = getattr(lf, "_facts", None)
+    if facts is None:
+        facts = (
+            is_epistemic_free(lf),
+            frozenset(p.name for p in lf_predicates(lf)),
+            lf_restrictors(lf),
+        )
+        object.__setattr__(lf, "_facts", facts)
+    return facts
 
 
 def _contains_andseq(p: PredExpr) -> bool:
@@ -662,11 +746,11 @@ def _check_sequents(
     preds = tuple(preds)
     declared = {p.name for p in preds}
     for lf in lfs:
-        if not is_epistemic_free(lf):
+        epistemic_free, used, _ = _form_facts(lf)
+        if not epistemic_free:
             raise EpistemicContextRequired(
                 "entailment and consistency are defined for epistemic-free forms"
             )
-        used = {p.name for p in lf_predicates(lf)}
         if not used <= declared:
             raise DeclarationError(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"
@@ -743,8 +827,8 @@ def entails_with_existential_import(
     comparison between scale-mates goes through this variant.
     """
     restrictors: dict[str, PredicateSym] = {}
-    for lf in list(premises) + [conclusion]:
-        for r in lf_restrictors(lf):
+    for lf in (*premises, conclusion):
+        for r in _form_facts(lf)[2]:
             restrictors.setdefault(r.name, r)
     existence = [Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items())]
     return entails(list(premises) + existence, conclusion, preds, bound, scales, budget_bits)

@@ -14,6 +14,7 @@ from functools import lru_cache
 from .logic import (
     DEFAULT_BOUND,
     Atom,
+    Interned,
     PredicateSym,
     Quant,
     Quantifier,
@@ -29,8 +30,34 @@ _CHECK_B = PredicateSym("_scale_check_b")
 _CHECK_PREDS = (_CHECK_A, _CHECK_B)
 
 
-@dataclass(frozen=True)
-class Scale:
+@lru_cache(maxsize=256)
+def _verify_strength_order(members: tuple[Quantifier, ...]):
+    # Strictness of consecutive pairs gives strictness of the whole
+    # chain by transitivity of bounded entailment.
+    for weaker, stronger in zip(members, members[1:]):
+        weak_clause = Quant(weaker, _CHECK_A, Atom(_CHECK_B))
+        strong_clause = Quant(stronger, _CHECK_A, Atom(_CHECK_B))
+        if not entails_with_existential_import(
+            [strong_clause], weak_clause, _CHECK_PREDS, DEFAULT_BOUND
+        ):
+            raise ScaleError(
+                f"{stronger.value!r} does not entail {weaker.value!r}"
+                f" on nonempty restrictors; scale order is broken"
+            )
+        if entails_with_existential_import(
+            [weak_clause], strong_clause, _CHECK_PREDS, DEFAULT_BOUND
+        ):
+            raise ScaleError(
+                f"{weaker.value!r} and {stronger.value!r} are not strictly"
+                f" ordered; scale members must differ in strength"
+            )
+
+
+@dataclass(frozen=True, eq=False)
+class Scale(Interned):
+    """A scale, interned like the forms. Every construction validates; the
+    strength order of a member sequence is verified once per process."""
+
     members: tuple[Quantifier, ...]
     ranks: tuple[int, ...] = ()
 
@@ -45,28 +72,7 @@ class Scale:
         if len(ranks) != len(members):
             raise ScaleError("one complexity rank per scale member required")
         object.__setattr__(self, "ranks", ranks)
-        self._verify_strength_order()
-
-    def _verify_strength_order(self):
-        # Strictness of consecutive pairs gives strictness of the whole
-        # chain by transitivity of bounded entailment.
-        for weaker, stronger in zip(self.members, self.members[1:]):
-            weak_clause = Quant(weaker, _CHECK_A, Atom(_CHECK_B))
-            strong_clause = Quant(stronger, _CHECK_A, Atom(_CHECK_B))
-            if not entails_with_existential_import(
-                [strong_clause], weak_clause, _CHECK_PREDS, DEFAULT_BOUND
-            ):
-                raise ScaleError(
-                    f"{stronger.value!r} does not entail {weaker.value!r}"
-                    f" on nonempty restrictors; scale order is broken"
-                )
-            if entails_with_existential_import(
-                [weak_clause], strong_clause, _CHECK_PREDS, DEFAULT_BOUND
-            ):
-                raise ScaleError(
-                    f"{weaker.value!r} and {stronger.value!r} are not strictly"
-                    f" ordered; scale members must differ in strength"
-                )
+        _verify_strength_order(members)
 
     def __contains__(self, q: Quantifier) -> bool:
         return q in self.members
@@ -91,9 +97,12 @@ class Scale:
         return tuple(m for m in self.members if m is not q and self.rank_of(m) <= cap)
 
 
-@dataclass(frozen=True)
-class ScaleRegistry:
+@dataclass(frozen=True, eq=False)
+class ScaleRegistry(Interned):
     scales: tuple[Scale, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "scales", tuple(self.scales))
 
     def scale_for(self, q: Quantifier) -> Scale | None:
         for scale in self.scales:

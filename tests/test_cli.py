@@ -69,6 +69,44 @@ class TestRun:
         assert code == 2
         assert "bad.sexp" in err and "line" in err and "col" in err
 
+    def test_non_utf8_file_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "x.sexp"
+        bad.write_bytes(b"\xff\xfe(scenario")
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+    def test_unexpected_exception_is_a_one_line_error(self, capsys, monkeypatch):
+        def broken(scenario):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr("felicity.cli.judge", broken)
+        code, _, err = run_cli(capsys, "run", str(FIXTURES / "magri-1.sexp"))
+        assert code == 2
+        assert err == "error: internal error: RuntimeError: engine fault\n"
+
+    def test_budget_error_names_file_and_position(self, capsys, tmp_path):
+        big = tmp_path / "big.sexp"
+        big.write_text(
+            "(scenario big\n  (individuals 30)\n  (predicates (a :stative))\n"
+            "  (target (some a true)))"
+        )
+        code, _, err = run_cli(capsys, "run", str(big))
+        assert code == 2
+        assert f"{big}: line 2, col 3: bound 30 x 1 predicates exceeds" in err
+
+    def test_continuations_after_a_refused_target(self, capsys, tmp_path):
+        # magri-3's target contradicts its context, so nothing can follow it
+        refused = tmp_path / "refused.sexp"
+        text = (FIXTURES / "magri-3.sexp").read_text()
+        refused.write_text(
+            text.replace("  (expect odd))", "  (continuations (some italian warm))\n  (expect odd))")
+        )
+        code, _, err = run_cli(capsys, "check", str(refused))
+        assert code == 2
+        assert f"{refused}: line 7, col 3: continuations need a target" in err
+        assert "(only (some italian warm)) contradicts" in err
+
     def test_run_with_explain_appends_traces(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--explain", str(FIXTURES / "magri-4.sexp")

@@ -196,8 +196,10 @@ class TestUpdate:
 
     def test_contradictory_update_raises(self):
         ctx = ctx_with(ck=(ALL_WARM, EXIST))
-        with pytest.raises(UpdateContradictionError):
+        with pytest.raises(UpdateContradictionError) as err:
             update_discourse(ctx, NotLF(ALL_WARM))
+        # the form is named in the concrete syntax, not as a Python repr
+        assert str(err.value).endswith(": (not (all italian warm))")
 
     def test_tautology_leaves_worlds_unchanged(self):
         ctx = ctx_with(ck=(SOME_WARM,))

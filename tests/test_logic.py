@@ -7,6 +7,12 @@ asserted, so the two routes never collapse into one.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,7 +47,9 @@ from felicity import (
     evaluate,
     expand_qi,
     is_intersective_conjunction,
+    parse_lf,
     render_lf,
+    substitution_alternatives,
 )
 from felicity import logic
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, LEFT, TALL, WARM, WON
@@ -577,3 +585,100 @@ class TestClassOracle:
         monkeypatch.undo()
         logic._classes.cache_clear()
         logic._truth.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Interned forms
+# ---------------------------------------------------------------------------
+
+_MAGRI_4 = "(only (some italian (and-conc warm blond)))"
+
+
+class TestInterning:
+    def test_independent_parses_give_one_object(self):
+        assert parse_lf(_MAGRI_4, ITALIAN_PREDS) is parse_lf(_MAGRI_4, ITALIAN_PREDS)
+        assert Atom(PredicateSym("warm")) is Atom(WARM)
+
+    def test_equal_forms_hash_equal(self):
+        built = Only(some(ITALIAN, AndConc(Atom(WARM), Atom(BLOND))))
+        assert built == parse_lf(_MAGRI_4, ITALIAN_PREDS)
+        assert hash(built) == hash(parse_lf(_MAGRI_4, ITALIAN_PREDS))
+        assert PredicateSym("won", temporal_class="eventive") is WON
+
+    def test_pickle_deepcopy_and_replace_give_equal_forms(self):
+        form = parse_lf(_MAGRI_4, ITALIAN_PREDS)
+        payload = pickle.dumps(form)
+        assert b"_hash" not in payload  # a salted hash must not cross processes
+        assert pickle.loads(payload) == form
+        assert copy.deepcopy(form) == form
+        assert dataclasses.replace(form.body, quantifier=ALL) == all_(
+            ITALIAN, AndConc(Atom(WARM), Atom(BLOND))
+        )
+        assert dataclasses.replace(form) == form
+
+    def test_a_duplicate_still_compares_equal(self):
+        form = parse_lf(_MAGRI_4, ITALIAN_PREDS)
+        assert copy.copy(form) == form
+        # a duplicate that bypassed the intern table, as a thread race can make
+        twin = object.__new__(Only)
+        twin.__dict__.update(form.__dict__)
+        assert twin is not form
+        assert twin == form and form == twin and hash(twin) == hash(form)
+        assert not twin != form
+
+    @settings(max_examples=150, deadline=None)
+    @given(_forms(_POOL, 2))
+    def test_parsing_a_rendering_gives_back_the_same_object(self, form):
+        assert parse_lf(render_lf(form), _POOL) is form
+
+    def test_memoized_alternatives_match_an_uncached_call(self, full_registry):
+        clause = parse_lf("(some italian (and-conc warm blond))", ITALIAN_PREDS)
+        cached = substitution_alternatives(clause, full_registry, 4)
+        assert substitution_alternatives(clause, full_registry, 4) is cached
+        assert substitution_alternatives.__wrapped__(clause, full_registry, 4) == cached
+
+    def test_list_of_disjuncts_acts_as_a_tuple(self, full_registry):
+        disjuncts = [some(ITALIAN, Atom(WARM)), all_(ITALIAN, Atom(BLOND))]
+        listed = OrLF(disjuncts)
+        assert listed is OrLF(tuple(disjuncts))
+        assert render_lf(listed) == "(or (some italian warm) (all italian blond))"
+        model = Model(["a"], {"italian": ["a"], "warm": [], "blond": ["a"]})
+        assert evaluate(listed, model) is True
+        assert consistent([listed], ITALIAN_PREDS, 2, full_registry)
+        with pytest.raises(WellFormednessError):
+            OrLF([])
+
+    def test_scales_are_interned_too(self):
+        from felicity import Scale, ScaleRegistry
+
+        scale = Scale((SOME, ALL))
+        assert Scale([SOME, ALL], ranks=(1, 1)) is scale
+        assert ScaleRegistry([scale]) is ScaleRegistry((Scale((SOME, ALL)),))
+
+    def test_concurrent_builds_agree(self):
+        # threads race to build the same new forms; a lost race may leave a
+        # duplicate, which must still be equal and hash equal
+        texts = [f"(not (or (some italian warm) (most italian (not blond)) (no warm {i})))"
+                 for i in ("italian", "blond", "warm")]
+        preds = {p.name: p for p in ITALIAN_PREDS}
+        results: list = []
+
+        def build():
+            for _ in range(200):
+                results.append([parse_lf(t, preds) for t in texts])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 800
+        for forms in results:
+            assert forms == results[0]
+            assert [hash(f) for f in forms] == [hash(f) for f in results[0]]
