@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .dsl import THEORY_NAMES, Scenario, parse_scenario
 from .judge import Mechanism, judge
-from .logic import FelicityError, ResourceBudgetError, check_budget
+from .logic import FelicityError
 from .report import build_report, render_report, render_traces
 from .sexpr import ParseError
 
@@ -97,17 +97,11 @@ def _load(path: str, config: RunConfig) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise FelicityError(f"{path}: {exc}") from None
     try:
-        scenario = parse_scenario(text, source=path)
+        scenario = parse_scenario(text, source=path, bound=config.bound)
     except ParseError as exc:
         raise FelicityError(f"{path}: {exc}") from None
     if config.theories is not None:
         scenario = dc_replace(scenario, enabled_theories=config.theories)
-    if config.bound is not None:
-        try:
-            check_budget(config.bound, len(scenario.preds))
-        except ResourceBudgetError as exc:
-            raise FelicityError(f"{path}: {exc}") from None
-        scenario = dc_replace(scenario, max_universe=config.bound)
     return scenario
 
 

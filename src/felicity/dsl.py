@@ -339,8 +339,12 @@ def _minimal_inconsistent_subset(
     return None
 
 
-def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
-    """Parse and fully validate one (scenario ...) form."""
+def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = None) -> Scenario:
+    """Parse and fully validate one (scenario ...) form.
+
+    ``bound``, when given, replaces the scenario's model-size bound (its
+    ``(individuals N)`` or the default), and every check runs at it.
+    """
     root = read_one(text)
     if not isinstance(root, SList) or not root.items:
         raise ParseError("expected a (scenario ...) form", root.line, root.col)
@@ -369,10 +373,15 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 atom.col,
             )
         max_universe = int(atom.text)
+    if bound is not None:
+        max_universe = bound
     try:
         check_budget(max_universe, len(preds))
     except ResourceBudgetError as exc:
-        node = sections.get("individuals", sections["predicates"])
+        # Point at the clause that set the bound, else at the predicates.
+        node = sections["predicates"]
+        if bound is None:
+            node = sections.get("individuals", node)
         raise ParseError(str(exc), node.line, node.col) from None
 
     scales = _parse_scales(sections["scales"]) if "scales" in sections else default_registry()

@@ -571,10 +571,13 @@ def evaluate(lf: LogicalForm, m: Model, scales: "ScaleRegistry | None" = None) -
 # Isomorphism classes of models
 # ---------------------------------------------------------------------------
 
-# Largest per-cell table _classes builds, cells x classes, in bits. Spaces
-# within the enumeration budget whose table would be larger (14 predicates
-# at bound 1, 10 at bound 2, 8 at bound 3) would need up to gigabytes; they
-# go without a table, and each quantifier walks the classes instead.
+# Largest space, in cells x classes, for which _classes builds its table.
+# The table itself holds bound + 1 rows per cell, so the largest one kept
+# (6 predicates at bound 4: 64 cells x 5 counts x 814,385 classes) takes
+# about 31 MB. Spaces within the enumeration budget past this limit (14
+# predicates at bound 1, 10 at bound 2, 8 at bound 3) would need up to
+# gigabytes; they go without a table, and each quantifier walks the classes
+# instead.
 MAX_TABLE_BITS = 1 << 27
 
 
@@ -582,14 +585,17 @@ def _count_vectors(cells: int, bound: int) -> Iterator[tuple[tuple[int, int], ..
     """Every way to put at most ``bound`` individuals into ``cells`` cells.
 
     A vector is given by the (cell, count) pairs of its non-empty cells, in
-    ascending cell order. The order of the vectors is fixed: vector i is the
-    class at bit i of every class bitset.
+    ascending cell order. Vectors come in lexicographic order of their full
+    counts (n_0, ..., n_{cells-1}), the order ``_classes`` builds its table
+    in: vector i is the class at bit i of every class bitset.
     """
 
     def fill(first: int, left: int):
         yield ()
         if left:
-            for cell in range(first, cells):
+            # Earlier cells vary slowest, so a vector whose first non-empty
+            # cell comes later sorts first.
+            for cell in reversed(range(first, cells)):
                 for count in range(1, left + 1):
                     for rest in fill(cell + 1, left - count):
                         yield ((cell, count),) + rest
@@ -598,25 +604,46 @@ def _count_vectors(cells: int, bound: int) -> Iterator[tuple[tuple[int, int], ..
 
 
 @lru_cache(maxsize=8)
-def _classes(k: int, bound: int) -> tuple[int, tuple[int, ...] | None]:
+def _classes(k: int, bound: int) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
     """The isomorphism classes of models over k predicates with at most
     ``bound`` individuals.
 
     Cell c holds the individuals that satisfy exactly the predicates whose
-    bit is set in c. Returns the bitset of all classes and, per cell, the
-    bitset of the classes in which that cell is non-empty (None when that
-    table would exceed MAX_TABLE_BITS).
+    bit is set in c. Returns the bitset of all classes and the per-cell
+    table: ``rows[c][m]`` is the bitset of the classes in which cell c holds
+    exactly m individuals, for m = 0..bound (None when cells x classes would
+    exceed MAX_TABLE_BITS).
+
+    In the order of ``_count_vectors``, the classes that agree on cells
+    0..c-1 form a contiguous block, and cell c's count splits that block
+    into contiguous sub-blocks, one per count. So the table is built a cell
+    at a time from the start positions of the blocks, grouped by how many
+    individuals the earlier cells hold, with a few shifts per block group
+    and no visit to any single class.
     """
     cells = 1 << k
     n = comb(cells + bound, bound)
     if n * cells > MAX_TABLE_BITS:
         return (1 << n) - 1, None
-    rows = [bytearray((n + 7) >> 3) for _ in range(cells)]
-    for i, vector in enumerate(_count_vectors(cells, bound)):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for cell, _ in vector:
-            rows[cell][byte] |= bit
-    return (1 << n) - 1, tuple(int.from_bytes(row, "little") for row in rows)
+    rows = []
+    # starts[s] marks the first class of every block whose cells before c
+    # hold s individuals in all.
+    starts = {0: 1}
+    for c in range(cells):
+        later = cells - c - 1
+        row = [0] * (bound + 1)
+        split: dict[int, int] = {}
+        for s, first in starts.items():
+            offset = 0
+            for m in range(bound - s + 1):
+                size = comb(later + bound - s - m, later)
+                sub = first << offset
+                row[m] |= (sub << size) - sub  # size ones from each start
+                split[s + m] = split.get(s + m, 0) | sub
+                offset += size
+        rows.append(tuple(row))
+        starts = split
+    return (1 << n) - 1, tuple(rows)
 
 
 def _check_names(preds: Sequence[PredicateSym]):
@@ -655,12 +682,27 @@ def _more(yes: int, no: int, k: int, bound: int) -> int:
     """The classes in which the cells of ``yes`` hold more individuals than
     the cells of ``no``; with ``no`` empty, those where ``yes`` is occupied."""
     full, rows = _classes(k, bound)
-    if not no and rows is not None:
+    if rows is not None:
+        if not no:
+            empty = full
+            for cell in _bits(yes):
+                empty &= rows[cell][0]
+            return full & ~empty
+        # margins[d]: the classes in which the cells folded in so far hold d
+        # more individuals on the yes side than on the no side.
+        margins = {0: full}
+        for cell, sign in [(c, 1) for c in _bits(yes)] + [(c, -1) for c in _bits(no)]:
+            folded: dict[int, int] = {}
+            for d, classes in margins.items():
+                for m, row in enumerate(rows[cell]):
+                    piece = classes & row
+                    if piece:
+                        folded[d + sign * m] = folded.get(d + sign * m, 0) | piece
+            margins = folded
         out = 0
-        while yes:
-            low = yes & -yes
-            out |= rows[low.bit_length() - 1]
-            yes ^= low
+        for d, classes in margins.items():
+            if d > 0:
+                out |= classes
         return out
     cells = 1 << k
     # Digit c of these strings says whether cell c is in the set.
@@ -677,6 +719,16 @@ def _more(yes: int, no: int, k: int, bound: int) -> int:
         if margin > 0:
             out[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(out, "little")
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=1024)

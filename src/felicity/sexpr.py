@@ -1,19 +1,26 @@
 """Positioned s-expression reader shared by the formula and scenario parsers.
 
 Only parentheses and bare atoms exist; no strings, quoting, or comments.
-Every node remembers its line/column so parse errors can point at the
-offending token. Lists nest at most MAX_DEPTH deep, so that the recursive
-builders, renderers and evaluators downstream stay within Python's
-recursion limit.
+Every node remembers which token of its text it starts at, so parse errors
+can point at the offending token: the line and column are worked out from
+the text when asked for, which is only ever on the way to an error. Lists
+nest at most MAX_DEPTH deep, so that the recursive builders, renderers and
+evaluators downstream stay within Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .logic import FelicityError
 
 MAX_DEPTH = 100
+
+# A parenthesis, or a maximal run of anything but whitespace and
+# parentheses. \s is str.isspace(), so every whitespace character separates.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 class ParseError(FelicityError):
@@ -24,74 +31,62 @@ class ParseError(FelicityError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class SAtom:
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column (both from 1) of token ``index`` of text; only a
+    newline starts a line, and any other character takes one column."""
+    offset = next(islice(_TOKEN.finditer(text), index, None)).start()
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class _Node:
+    __slots__ = ()
+
+    @property
+    def line(self) -> int:
+        return _position(self.source, self.index)[0]
+
+    @property
+    def col(self) -> int:
+        return _position(self.source, self.index)[1]
+
+
+@dataclass(slots=True)
+class SAtom(_Node):
     text: str
-    line: int
-    col: int
+    index: int  # of the token among all tokens of the source text
+    source: str = field(repr=False, compare=False)  # the text read
 
 
-@dataclass(frozen=True)
-class SList:
+@dataclass(slots=True)
+class SList(_Node):
     items: tuple["SNode", ...]
-    line: int
-    col: int
+    index: int  # of the opening parenthesis
+    source: str = field(repr=False, compare=False)  # the text read
 
 
 SNode = SAtom | SList
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
-
-
 def read_all(text: str) -> list[SNode]:
     forms: list[SNode] = []
-    stack: list[tuple[list[SNode], int, int]] = []
-    for tok, line, col in _tokenize(text):
+    items = forms
+    stack: list[tuple[list[SNode], int]] = []  # enclosing items, index of the '('
+    for i, tok in enumerate(_TOKEN.findall(text)):
         if tok == "(":
             if len(stack) == MAX_DEPTH:
-                raise ParseError(f"lists nest deeper than {MAX_DEPTH} levels", line, col)
-            stack.append(([], line, col))
+                raise ParseError(f"lists nest deeper than {MAX_DEPTH} levels", *_position(text, i))
+            stack.append((items, i))
+            items = []
         elif tok == ")":
             if not stack:
-                raise ParseError("unexpected ')'", line, col)
-            items, open_line, open_col = stack.pop()
-            node = SList(tuple(items), open_line, open_col)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
+                raise ParseError("unexpected ')'", *_position(text, i))
+            enclosing, start = stack.pop()
+            enclosing.append(SList(tuple(items), start, text))
+            items = enclosing
         else:
-            node = SAtom(tok, line, col)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
+            items.append(SAtom(tok, i, text))
     if stack:
-        _, open_line, open_col = stack[-1]
-        raise ParseError("unclosed '('", open_line, open_col)
+        raise ParseError("unclosed '('", *_position(text, stack[-1][1]))
     return forms
 
 

@@ -107,6 +107,20 @@ class TestRun:
         assert f"{refused}: line 7, col 3: continuations need a target" in err
         assert "(only (some italian warm)) contradicts" in err
 
+    def test_bound_override_reruns_the_parse_time_checks(self, capsys, tmp_path):
+        # the target is admitted at the file's bound but refused at --bound 1
+        repro = tmp_path / "repro.sexp"
+        repro.write_text(
+            "(scenario repro\n  (predicates (a :stative) (b :stative))\n"
+            "  (common-knowledge (some a b))\n  (target (some a (not b)))\n"
+            "  (continuations (all a b)))"
+        )
+        assert run_cli(capsys, "run", str(repro))[0] == 0
+        code, _, err = run_cli(capsys, "run", "--bound", "1", str(repro))
+        assert code == 2
+        assert err.startswith(f"error: {repro}: line 5, col 3: continuations need a target")
+        assert "contradicts common knowledge and discourse at bound 1" in err
+
     def test_run_with_explain_appends_traces(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--explain", str(FIXTURES / "magri-4.sexp")

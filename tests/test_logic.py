@@ -568,14 +568,22 @@ class TestClassOracle:
 
     def test_walk_without_table_matches_table(self, full_registry, monkeypatch):
         # past MAX_TABLE_BITS there is no per-cell table and every quantifier
-        # walks the classes; both routes must give the same bitsets
+        # walks the classes; both routes must give the same bitsets. most
+        # over warm or (not blond) has individuals on both sides of its
+        # comparison, so the margin count meets negative margins too.
+        scopes = (
+            Atom(WARM), NotP(Atom(ITALIAN)), NotP(Atom(BLOND)),
+            AndConc(Atom(WARM), Atom(BLOND)), AndConc(Atom(WARM), NotP(Atom(BLOND))),
+        )
+
         def truths():
             logic._classes.cache_clear()
             logic._truth.cache_clear()
             return [
-                logic._truth(Quant(q, ITALIAN, scope), ITALIAN_PREDS, bound, full_registry)
+                logic._truth(Quant(q, ITALIAN, scope), preds, bound, full_registry)
+                for preds in (ITALIAN_PREDS, ITALIAN_PREDS + (TALL,))
                 for q in (SOME, ALL, MOST, NO)
-                for scope in (Atom(WARM), NotP(Atom(ITALIAN)), AndConc(Atom(WARM), Atom(BLOND)))
+                for scope in scopes
                 for bound in (1, 2, 3)
             ]
 
@@ -585,6 +593,39 @@ class TestClassOracle:
         monkeypatch.undo()
         logic._classes.cache_clear()
         logic._truth.cache_clear()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_margin_count_matches_walk(self, data):
+        # _more compares the cells of yes against the cells of no; the table
+        # route counts margins over exact-count rows, the walk visits vectors
+        k = data.draw(st.integers(1, 4))
+        bound = data.draw(st.integers(1, 5))
+        sides = data.draw(st.lists(st.sampled_from("yn-"), min_size=1 << k, max_size=1 << k))
+        yes = sum(1 << c for c, side in enumerate(sides) if side == "y")
+        no = sum(1 << c for c, side in enumerate(sides) if side == "n")
+        with_table = logic._more(yes, no, k, bound)
+        saved = logic.MAX_TABLE_BITS
+        logic.MAX_TABLE_BITS = 0
+        logic._classes.cache_clear()
+        try:
+            walked = logic._more(yes, no, k, bound)
+        finally:
+            logic.MAX_TABLE_BITS = saved
+            logic._classes.cache_clear()
+        assert with_table == walked
+
+    def test_table_rows_count_each_cell(self):
+        # rows[c][m] holds class i iff vector i puts exactly m individuals in c
+        for k, bound in ((1, 4), (2, 3), (3, 2)):
+            full, rows = logic._classes(k, bound)
+            vectors = list(logic._count_vectors(1 << k, bound))
+            assert full == (1 << len(vectors)) - 1
+            for i, vector in enumerate(vectors):
+                counts = dict(vector)
+                for cell, row in enumerate(rows):
+                    held = [m for m, bits in enumerate(row) if bits >> i & 1]
+                    assert held == [counts.get(cell, 0)]
 
 
 # ---------------------------------------------------------------------------
