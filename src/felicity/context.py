@@ -120,7 +120,8 @@ def worlds(ctx: ContextState) -> WorldSet:
 
 
 def k_holds(ctx: ContextState, lf: LogicalForm) -> bool:
-    """Certainty: lf is true in every world compatible with the context."""
+    """Certainty: lf is true in every world compatible with the context,
+    i.e. the context (both tiers consulted) entails lf."""
     _require_plain(lf)
     return entails(ctx.facts, lf, ctx.preds, ctx.bound, ctx.scales)
 
@@ -131,10 +132,8 @@ def p_holds(ctx: ContextState, lf: LogicalForm) -> bool:
     return consistent(ctx.facts + (lf,), ctx.preds, ctx.bound, ctx.scales)
 
 
-def contextually_entails(ctx: ContextState, lf: LogicalForm) -> bool:
-    """lf holds in every world of the context (both tiers consulted)."""
-    _require_plain(lf)
-    return entails(ctx.facts, lf, ctx.preds, ctx.bound, ctx.scales)
+# Contextual entailment is certainty; the two names serve different theories.
+contextually_entails = k_holds
 
 
 def _discourse_premises(ctx: ContextState) -> tuple[LogicalForm, ...]:

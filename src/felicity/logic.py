@@ -20,6 +20,10 @@ reference semantics.
 Form nodes are hash-consed: building a node equal to a live one returns
 that one, and each node hashes once, from its children's cached hashes.
 The oracle's caches therefore find a form in O(1) instead of walking it.
+Each public query (``entails``, ``consistent``,
+``entails_with_existential_import``) looks its whole sequent up in one
+cache, so a repeated sequent costs one lookup; it is validated only on a
+miss, and an invalid one raises the same error on every call.
 """
 
 from __future__ import annotations
@@ -88,25 +92,30 @@ class _Interning(type):
     there is one, and builds (and validates) a new value only otherwise."""
 
     def __call__(cls, *args, **kwargs):
-        if not kwargs and len(args) == len(cls.__match_args__):
+        call = None if kwargs else (cls, *args)
+        if call is not None:
             try:
-                ref = _INTERNED.get((cls, *args))
+                ref = _INTERNED.get(call)
             except TypeError:  # an unhashable argument, e.g. a list
-                ref = None
+                call = ref = None
             value = ref() if ref is not None else None
             if value is not None:
                 return value
-        # Keywords, defaults and arguments that __post_init__ normalizes
-        # take this path: build first, then look up by the stored fields.
+        # Keywords and first calls take this path: build first, then look
+        # up by the stored fields.
         value = super().__call__(*args, **kwargs)
         key = (cls, *value._fields())
         ref = _INTERNED.get(key)
         live = ref() if ref is not None else None
-        if live is not None:
-            return live
-        object.__setattr__(value, "_hash", hash(key))
-        _INTERNED[key] = weakref.ref(value, partial(_forget, key))
-        return value
+        if live is None:
+            live = value
+            object.__setattr__(value, "_hash", hash(key))
+            _INTERNED[key] = weakref.ref(value, partial(_forget, key))
+        if call is not None and call != key:
+            # Omitted defaults, or arguments that __post_init__ normalizes:
+            # keep this call's key too, so that a repeat is a table hit.
+            _INTERNED[call] = weakref.ref(live, partial(_forget, call))
+        return live
 
 
 class Interned(metaclass=_Interning):
@@ -346,15 +355,27 @@ def is_epistemic_free(lf: LogicalForm) -> bool:
 
 
 def _form_facts(lf: LogicalForm) -> tuple[bool, frozenset[str], tuple[PredicateSym, ...]]:
-    """Whether lf is epistemic-free, the names of its predicates and its
-    restrictors, computed on the first call for each form and then kept on it."""
+    """``is_epistemic_free(lf)``, the names in ``lf_predicates(lf)`` and
+    ``lf_restrictors(lf)``, built from the children's facts on the first
+    call for each form and then kept on it."""
     facts = getattr(lf, "_facts", None)
     if facts is None:
-        facts = (
-            is_epistemic_free(lf),
-            frozenset(p.name for p in lf_predicates(lf)),
-            lf_restrictors(lf),
-        )
+        if isinstance(lf, Quant):
+            names = frozenset(p.name for p in (lf.restrictor, *pexpr_atoms(lf.scope)))
+            facts = (True, names, (lf.restrictor,))
+        elif isinstance(lf, (Only, NotLF, Know, Poss)):
+            free, names, restrictors = _form_facts(lf.body)
+            facts = (free and not isinstance(lf, (Know, Poss)), names, restrictors)
+        elif isinstance(lf, (AndLF, OrLF)):
+            children = lf.disjuncts if isinstance(lf, OrLF) else (lf.left, lf.right)
+            parts = [_form_facts(d) for d in children]
+            facts = (
+                all(free for free, _, _ in parts),
+                frozenset().union(*(names for _, names, _ in parts)),
+                sum((restrictors for _, _, restrictors in parts), ()),
+            )
+        else:
+            raise TypeError(f"not a logical form: {lf!r}")
         object.__setattr__(lf, "_facts", facts)
     return facts
 
@@ -787,15 +808,13 @@ def _truth(
 # ---------------------------------------------------------------------------
 
 
-def _check_sequents(
-    lfs: Sequence[LogicalForm],
-    preds: Sequence[PredicateSym],
-    bound: int,
-    budget_bits: int,
-) -> tuple[tuple[LogicalForm, ...], tuple[PredicateSym, ...]]:
+Sequent = tuple[LogicalForm, ...]
+Preds = tuple[PredicateSym, ...]
+
+
+def _check_sequents(lfs: Sequent, preds: Preds, bound: int, budget_bits: int):
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    preds = tuple(preds)
     declared = {p.name for p in preds}
     for lf in lfs:
         epistemic_free, used, _ = _form_facts(lf)
@@ -808,17 +827,27 @@ def _check_sequents(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"
             )
     check_budget(bound, len(preds), budget_bits)
-    return tuple(lfs), preds
+
+
+def _ask(cached, *args) -> bool:
+    """Answer a query from ``cached``, an oracle cache keyed by all of its
+    arguments that validates the sequent only on a miss. An invalid query
+    is never cached, so it raises afresh every time. A query with an
+    unhashable argument (a list in form position, say) is answered
+    uncached, so that validation names the culprit."""
+    try:
+        return cached(*args)
+    except TypeError:
+        pass
+    return cached.__wrapped__(*args)
 
 
 @lru_cache(maxsize=16384)
 def _entails(
-    premises: tuple[LogicalForm, ...],
-    conclusion: LogicalForm,
-    preds: tuple[PredicateSym, ...],
-    bound: int,
-    scales: "ScaleRegistry | None",
+    premises: Sequent, conclusion: LogicalForm, preds: Preds, bound: int,
+    scales: "ScaleRegistry | None", budget_bits: int,
 ) -> bool:
+    _check_sequents(premises + (conclusion,), preds, bound, budget_bits)
     models = _all_classes(preds, bound)
     for p in premises:
         models &= _truth(p, preds, bound, scales)
@@ -827,15 +856,26 @@ def _entails(
 
 @lru_cache(maxsize=16384)
 def _consistent(
-    lfs: tuple[LogicalForm, ...],
-    preds: tuple[PredicateSym, ...],
-    bound: int,
-    scales: "ScaleRegistry | None",
+    lfs: Sequent, preds: Preds, bound: int, scales: "ScaleRegistry | None", budget_bits: int
 ) -> bool:
+    _check_sequents(lfs, preds, bound, budget_bits)
     models = _all_classes(preds, bound)
     for lf in lfs:
         models &= _truth(lf, preds, bound, scales)
     return models != 0
+
+
+@lru_cache(maxsize=16384)
+def _entails_with_import(
+    premises: Sequent, conclusion: LogicalForm, preds: Preds, bound: int,
+    scales: "ScaleRegistry | None", budget_bits: int,
+) -> bool:
+    restrictors: dict[str, PredicateSym] = {}
+    for lf in (*premises, conclusion):
+        for r in _form_facts(lf)[2]:
+            restrictors.setdefault(r.name, r)
+    existence = tuple(Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items()))
+    return _entails(premises + existence, conclusion, preds, bound, scales, budget_bits)
 
 
 def entails(
@@ -848,8 +888,7 @@ def entails(
 ) -> bool:
     """True iff no model of size <= bound satisfies all premises and
     falsifies the conclusion."""
-    prem, preds = _check_sequents(list(premises) + [conclusion], preds, bound, budget_bits)
-    return _entails(prem[:-1], conclusion, preds, bound, scales)
+    return _ask(_entails, tuple(premises), conclusion, tuple(preds), bound, scales, budget_bits)
 
 
 def consistent(
@@ -860,8 +899,7 @@ def consistent(
     budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> bool:
     """True iff some model of size <= bound satisfies every member."""
-    lfs, preds = _check_sequents(lfs, preds, bound, budget_bits)
-    return _consistent(lfs, preds, bound, scales)
+    return _ask(_consistent, tuple(lfs), tuple(preds), bound, scales, budget_bits)
 
 
 def entails_with_existential_import(
@@ -878,12 +916,10 @@ def entails_with_existential_import(
     a vacuously true universal otherwise breaks the ordering. Every strength
     comparison between scale-mates goes through this variant.
     """
-    restrictors: dict[str, PredicateSym] = {}
-    for lf in (*premises, conclusion):
-        for r in _form_facts(lf)[2]:
-            restrictors.setdefault(r.name, r)
-    existence = [Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items())]
-    return entails(list(premises) + existence, conclusion, preds, bound, scales, budget_bits)
+    return _ask(
+        _entails_with_import, tuple(premises), conclusion, tuple(preds), bound, scales,
+        budget_bits,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from felicity import (
     NotP,
     Only,
     OrLF,
+    Poss,
     PredicateSym,
     QI,
     Quant,
@@ -696,6 +697,30 @@ class TestInterning:
         assert Scale([SOME, ALL], ranks=(1, 1)) is scale
         assert ScaleRegistry([scale]) is ScaleRegistry((Scale((SOME, ALL)),))
 
+    def test_a_repeated_scale_clause_is_a_table_hit(self, monkeypatch):
+        from pathlib import Path
+
+        from felicity import Scale, parse_scenario
+
+        text = (Path(__file__).resolve().parent.parent / "fixtures" / "magri-1.sexp").read_text()
+        first = parse_scenario(text)
+        runs = []
+        post_init = Scale.__post_init__
+
+        def counted(self):
+            runs.append(self.members)
+            post_init(self)
+
+        monkeypatch.setattr(Scale, "__post_init__", counted)
+        second = parse_scenario(text)
+        assert runs == []
+        assert second.scales is first.scales
+        # the table remembers a call by its own arguments, defaults omitted
+        scale = Scale((SOME, MOST))
+        assert Scale((SOME, MOST)) is scale
+        assert Scale((SOME, MOST), (1, 1)) is scale
+        assert runs == [(SOME, MOST)]
+
     def test_concurrent_builds_agree(self):
         # threads race to build the same new forms; a lost race may leave a
         # duplicate, which must still be equal and hash equal
@@ -723,3 +748,83 @@ class TestInterning:
         for forms in results:
             assert forms == results[0]
             assert [hash(f) for f in forms] == [hash(f) for f in results[0]]
+
+
+def _epistemic_forms(preds, depth):
+    if depth <= 0:
+        return _forms(preds, 0)
+    sub = _epistemic_forms(preds, depth - 1)
+    return st.one_of(
+        _forms(preds, 1),
+        st.builds(Know, sub),
+        st.builds(Poss, sub),
+        st.builds(NotLF, sub),
+        st.builds(AndLF, sub, sub),
+        st.builds(OrLF, st.tuples(sub, sub)),
+    )
+
+
+# The error every oracle must raise, and the (premises, conclusion, preds,
+# bound) of a query that raises it.
+_ONE = [some(ITALIAN, Atom(WARM))]
+_INVALID = {
+    "undeclared predicate": (DeclarationError, _ONE, some(ITALIAN, Atom(BLOND)),
+                             (ITALIAN, WARM), 3),
+    "know form": (EpistemicContextRequired, [Know(_ONE[0])], _ONE[0], ITALIAN_PREDS, 3),
+    "bound 0": (ValueError, _ONE, _ONE[0], ITALIAN_PREDS, 0),
+    "over budget": (ResourceBudgetError, _ONE, _ONE[0], ITALIAN_PREDS, 9),
+    "duplicate names": (WellFormednessError, _ONE, _ONE[0],
+                        (ITALIAN, WARM, PredicateSym("warm")), 3),
+    "predicate expression as a form": (TypeError, [Atom(WARM)], _ONE[0], ITALIAN_PREDS, 3),
+    "list as a form": (TypeError, [_ONE], _ONE[0], ITALIAN_PREDS, 3),
+}
+
+_ORACLES = {
+    "entails": entails,
+    "consistent": lambda prem, concl, *rest: consistent([*prem, concl], *rest),
+    "with-import": logic.entails_with_existential_import,
+}
+
+
+class TestFrontDoor:
+    """Each public oracle looks its whole query up in one cache and
+    validates only on a miss; invalid queries are never cached."""
+
+    @pytest.mark.parametrize("oracle", sorted(_ORACLES))
+    @pytest.mark.parametrize("case", sorted(_INVALID))
+    def test_an_invalid_query_raises_the_same_error_every_time(self, oracle, case):
+        expected, *query = _INVALID[case]
+        errors = []
+        for _ in range(2):
+            with pytest.raises(expected) as info:
+                _ORACLES[oracle](*query)
+            errors.append((info.type, str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is expected
+        if expected is TypeError:
+            assert errors[0][1].startswith("not a logical form: ")
+
+    @pytest.mark.parametrize("oracle", sorted(_ORACLES))
+    def test_a_repeated_query_is_validated_once(self, oracle, monkeypatch):
+        # predicates no other test uses, so the first call is a miss
+        a, b = PredicateSym(f"door_{oracle}_a"), PredicateSym(f"door_{oracle}_b")
+        query = ([some(a, Atom(b))], all_(a, Atom(b)), (a, b), 3)
+        checks = []
+        check = logic._check_sequents
+        monkeypatch.setattr(
+            logic, "_check_sequents", lambda *args: checks.append(args) or check(*args)
+        )
+        answer = _ORACLES[oracle](*query)
+        assert len(checks) == 1
+        assert _ORACLES[oracle](*query) is answer
+        assert _ORACLES[oracle](query[0], query[1], list(query[2]), 3) is answer
+        assert len(checks) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(_epistemic_forms(_POOL, 3))
+    def test_form_facts_match_the_three_walks(self, form):
+        assert logic._form_facts(form) == (
+            logic.is_epistemic_free(form),
+            frozenset(p.name for p in logic.lf_predicates(form)),
+            logic.lf_restrictors(form),
+        )
