@@ -308,76 +308,45 @@ def pexpr_atoms(p: PredExpr) -> tuple[PredicateSym, ...]:
     return ()
 
 
-def lf_predicates(lf: LogicalForm) -> tuple[PredicateSym, ...]:
-    """All predicate symbols occurring in lf, restrictors included."""
-    if isinstance(lf, Quant):
-        return (lf.restrictor,) + pexpr_atoms(lf.scope)
-    if isinstance(lf, (Only, NotLF, Know, Poss)):
-        return lf_predicates(lf.body)
-    if isinstance(lf, AndLF):
-        return lf_predicates(lf.left) + lf_predicates(lf.right)
-    if isinstance(lf, OrLF):
-        out: tuple[PredicateSym, ...] = ()
-        for d in lf.disjuncts:
-            out += lf_predicates(d)
-        return out
-    raise TypeError(f"not a logical form: {lf!r}")
-
-
-def lf_restrictors(lf: LogicalForm) -> tuple[PredicateSym, ...]:
-    """Predicate symbols used as quantifier restrictors anywhere in lf."""
-    if isinstance(lf, Quant):
-        return (lf.restrictor,)
-    if isinstance(lf, (Only, NotLF, Know, Poss)):
-        return lf_restrictors(lf.body)
-    if isinstance(lf, AndLF):
-        return lf_restrictors(lf.left) + lf_restrictors(lf.right)
-    if isinstance(lf, OrLF):
-        out: tuple[PredicateSym, ...] = ()
-        for d in lf.disjuncts:
-            out += lf_restrictors(d)
-        return out
-    raise TypeError(f"not a logical form: {lf!r}")
-
-
-def is_epistemic_free(lf: LogicalForm) -> bool:
-    if isinstance(lf, (Know, Poss)):
-        return False
-    if isinstance(lf, Quant):
-        return True
-    if isinstance(lf, (Only, NotLF)):
-        return is_epistemic_free(lf.body)
-    if isinstance(lf, AndLF):
-        return is_epistemic_free(lf.left) and is_epistemic_free(lf.right)
-    if isinstance(lf, OrLF):
-        return all(is_epistemic_free(d) for d in lf.disjuncts)
-    raise TypeError(f"not a logical form: {lf!r}")
-
-
-def _form_facts(lf: LogicalForm) -> tuple[bool, frozenset[str], tuple[PredicateSym, ...]]:
-    """``is_epistemic_free(lf)``, the names in ``lf_predicates(lf)`` and
-    ``lf_restrictors(lf)``, built from the children's facts on the first
-    call for each form and then kept on it."""
+def _form_facts(
+    lf: LogicalForm,
+) -> tuple[bool, tuple[PredicateSym, ...], tuple[PredicateSym, ...]]:
+    """Whether lf is epistemic-free, its predicate symbols and its
+    restrictors, built from the children's facts on the first call for each
+    form and then kept on it."""
     facts = getattr(lf, "_facts", None)
     if facts is None:
         if isinstance(lf, Quant):
-            names = frozenset(p.name for p in (lf.restrictor, *pexpr_atoms(lf.scope)))
-            facts = (True, names, (lf.restrictor,))
+            facts = (True, (lf.restrictor,) + pexpr_atoms(lf.scope), (lf.restrictor,))
         elif isinstance(lf, (Only, NotLF, Know, Poss)):
-            free, names, restrictors = _form_facts(lf.body)
-            facts = (free and not isinstance(lf, (Know, Poss)), names, restrictors)
+            free, preds, restrictors = _form_facts(lf.body)
+            facts = (free and not isinstance(lf, (Know, Poss)), preds, restrictors)
         elif isinstance(lf, (AndLF, OrLF)):
             children = lf.disjuncts if isinstance(lf, OrLF) else (lf.left, lf.right)
             parts = [_form_facts(d) for d in children]
             facts = (
                 all(free for free, _, _ in parts),
-                frozenset().union(*(names for _, names, _ in parts)),
+                sum((preds for _, preds, _ in parts), ()),
                 sum((restrictors for _, _, restrictors in parts), ()),
             )
         else:
             raise TypeError(f"not a logical form: {lf!r}")
         object.__setattr__(lf, "_facts", facts)
     return facts
+
+
+def is_epistemic_free(lf: LogicalForm) -> bool:
+    return _form_facts(lf)[0]
+
+
+def lf_predicates(lf: LogicalForm) -> tuple[PredicateSym, ...]:
+    """All predicate symbols occurring in lf, restrictors included."""
+    return _form_facts(lf)[1]
+
+
+def lf_restrictors(lf: LogicalForm) -> tuple[PredicateSym, ...]:
+    """Predicate symbols used as quantifier restrictors anywhere in lf."""
+    return _form_facts(lf)[2]
 
 
 def _contains_andseq(p: PredExpr) -> bool:
@@ -808,20 +777,21 @@ def _truth(
 # ---------------------------------------------------------------------------
 
 
-Sequent = tuple[LogicalForm, ...]
-Preds = tuple[PredicateSym, ...]
-
-
-def _check_sequents(lfs: Sequent, preds: Preds, bound: int, budget_bits: int):
+def _check_sequents(
+    lfs: tuple[LogicalForm, ...],
+    preds: tuple[PredicateSym, ...],
+    bound: int,
+    budget_bits: int,
+) -> None:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     declared = {p.name for p in preds}
     for lf in lfs:
-        epistemic_free, used, _ = _form_facts(lf)
-        if not epistemic_free:
+        if not is_epistemic_free(lf):
             raise EpistemicContextRequired(
                 "entailment and consistency are defined for epistemic-free forms"
             )
+        used = {p.name for p in lf_predicates(lf)}
         if not used <= declared:
             raise DeclarationError(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"
@@ -838,14 +808,21 @@ def _ask(cached, *args) -> bool:
     try:
         return cached(*args)
     except TypeError:
-        pass
-    return cached.__wrapped__(*args)
+        try:
+            hash(args)
+        except TypeError:
+            return cached.__wrapped__(*args)
+        raise
 
 
 @lru_cache(maxsize=16384)
 def _entails(
-    premises: Sequent, conclusion: LogicalForm, preds: Preds, bound: int,
-    scales: "ScaleRegistry | None", budget_bits: int,
+    premises: tuple[LogicalForm, ...],
+    conclusion: LogicalForm,
+    preds: tuple[PredicateSym, ...],
+    bound: int,
+    scales: "ScaleRegistry | None",
+    budget_bits: int,
 ) -> bool:
     _check_sequents(premises + (conclusion,), preds, bound, budget_bits)
     models = _all_classes(preds, bound)
@@ -856,26 +833,17 @@ def _entails(
 
 @lru_cache(maxsize=16384)
 def _consistent(
-    lfs: Sequent, preds: Preds, bound: int, scales: "ScaleRegistry | None", budget_bits: int
+    lfs: tuple[LogicalForm, ...],
+    preds: tuple[PredicateSym, ...],
+    bound: int,
+    scales: "ScaleRegistry | None",
+    budget_bits: int,
 ) -> bool:
     _check_sequents(lfs, preds, bound, budget_bits)
     models = _all_classes(preds, bound)
     for lf in lfs:
         models &= _truth(lf, preds, bound, scales)
     return models != 0
-
-
-@lru_cache(maxsize=16384)
-def _entails_with_import(
-    premises: Sequent, conclusion: LogicalForm, preds: Preds, bound: int,
-    scales: "ScaleRegistry | None", budget_bits: int,
-) -> bool:
-    restrictors: dict[str, PredicateSym] = {}
-    for lf in (*premises, conclusion):
-        for r in _form_facts(lf)[2]:
-            restrictors.setdefault(r.name, r)
-    existence = tuple(Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items()))
-    return _entails(premises + existence, conclusion, preds, bound, scales, budget_bits)
 
 
 def entails(
@@ -916,10 +884,12 @@ def entails_with_existential_import(
     a vacuously true universal otherwise breaks the ordering. Every strength
     comparison between scale-mates goes through this variant.
     """
-    return _ask(
-        _entails_with_import, tuple(premises), conclusion, tuple(preds), bound, scales,
-        budget_bits,
-    )
+    restrictors: dict[str, PredicateSym] = {}
+    for lf in (*premises, conclusion):
+        for r in _form_facts(lf)[2]:
+            restrictors.setdefault(r.name, r)
+    existence = [Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items())]
+    return entails(list(premises) + existence, conclusion, preds, bound, scales, budget_bits)
 
 
 # ---------------------------------------------------------------------------

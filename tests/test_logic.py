@@ -820,11 +820,48 @@ class TestFrontDoor:
         assert _ORACLES[oracle](query[0], query[1], list(query[2]), 3) is answer
         assert len(checks) == 1
 
+    @pytest.mark.parametrize("oracle", ["entails", "consistent"])
+    def test_a_hashable_invalid_query_is_validated_once_per_call(self, oracle, monkeypatch):
+        checks = []
+        check = logic._check_sequents
+        monkeypatch.setattr(
+            logic, "_check_sequents", lambda *args: checks.append(args) or check(*args)
+        )
+        _, *query = _INVALID["predicate expression as a form"]
+        for calls in (1, 2):
+            with pytest.raises(TypeError):
+                _ORACLES[oracle](*query)
+            assert len(checks) == calls
+
     @settings(max_examples=200, deadline=None)
     @given(_epistemic_forms(_POOL, 3))
-    def test_form_facts_match_the_three_walks(self, form):
-        assert logic._form_facts(form) == (
+    def test_form_facts_match_a_whole_tree_walk(self, form):
+        assert (
             logic.is_epistemic_free(form),
-            frozenset(p.name for p in logic.lf_predicates(form)),
+            logic.lf_predicates(form),
             logic.lf_restrictors(form),
-        )
+        ) == _walk_facts(form)
+
+
+def _walk_facts(lf):
+    """Reference for the stored form facts, from a generic walk over every
+    node's fields: (no Know or Poss anywhere, every predicate symbol, every
+    restrictor), in order of occurrence."""
+    nodes = []
+
+    def visit(x):
+        if isinstance(x, tuple):
+            for y in x:
+                visit(y)
+        elif dataclasses.is_dataclass(x):
+            nodes.append(x)
+            if not isinstance(x, PredicateSym):
+                for f in dataclasses.fields(x):
+                    visit(getattr(x, f.name))
+
+    visit(lf)
+    return (
+        not any(isinstance(n, (Know, Poss)) for n in nodes),
+        tuple(n for n in nodes if isinstance(n, PredicateSym)),
+        tuple(n.restrictor for n in nodes if isinstance(n, Quant)),
+    )
