@@ -144,6 +144,16 @@ def _variants(lf: LogicalForm, scales: ScaleRegistry) -> list[LogicalForm]:
     raise TypeError(f"cannot generate alternatives for {lf!r}")
 
 
+def _declared(*forms: LogicalForm) -> tuple[PredicateSym, ...]:
+    """The predicate symbols of the forms, one per name, first seen first:
+    the declarations an oracle query about just these forms needs."""
+    table: dict[str, PredicateSym] = {}
+    for lf in forms:
+        for p in lf_predicates(lf):
+            table.setdefault(p.name, p)
+    return tuple(table.values())
+
+
 def _tag(
     member: LogicalForm,
     origin: LogicalForm,
@@ -171,7 +181,7 @@ def substitution_alternatives(
     an empty set, which is not an error. Memoized: every predictor asks for
     the alternatives of the same clauses, and the result is immutable.
     """
-    preds = tuple({p.name: p for p in lf_predicates(lf)}.values())
+    preds = _declared(lf)
     seen: dict[LogicalForm, None] = {}
     for variant in _variants(lf, scales):
         if variant != lf:
@@ -218,11 +228,7 @@ def exh(
     """
     if alts.origin != lf:
         raise ValueError("alternative set was computed for a different origin")
-    preds_map = {p.name: p for p in lf_predicates(lf)}
-    for form in alts.forms():
-        for p in lf_predicates(form):
-            preds_map.setdefault(p.name, p)
-    preds = tuple(preds_map.values())
+    preds = _declared(lf, *alts.forms())
     negations = [
         NotLF(m)
         for m in alts.stronger()
@@ -257,11 +263,7 @@ def secondary_implicatures(
     admitted.
     """
     targets = list(primaries.primary_targets())
-    preds_map: dict[str, PredicateSym] = {p.name: p for p in lf_predicates(lf)}
-    for t in targets:
-        for p in lf_predicates(t):
-            preds_map.setdefault(p.name, p)
-    preds = tuple(preds_map.values())
+    preds = _declared(lf, *targets)
 
     def strength(m: LogicalForm) -> int:
         return sum(

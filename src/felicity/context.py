@@ -20,15 +20,12 @@ from .logic import (
     Model,
     NotLF,
     PredicateSym,
-    Quant,
-    SOME,
-    TRUE,
     consistent,
     entails,
     enumerate_models,
     evaluate,
+    existence_premises,
     is_epistemic_free,
-    lf_restrictors,
 )
 from .scales import ScaleRegistry, default_registry
 
@@ -140,14 +137,7 @@ def _discourse_premises(ctx: ContextState) -> tuple[LogicalForm, ...]:
     # An utterance carries existential import for its own restrictors;
     # without it, "no(A)(B)" would fail to settle "all(A)(B)" negatively
     # through the empty-restrictor loophole.
-    extra: list[LogicalForm] = []
-    seen: set[str] = set()
-    for fact in ctx.discourse:
-        for r in lf_restrictors(fact):
-            if r.name not in seen:
-                seen.add(r.name)
-                extra.append(Quant(SOME, r, TRUE))
-    return ctx.discourse + tuple(extra)
+    return ctx.discourse + existence_premises(ctx.discourse)
 
 
 def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:

@@ -189,6 +189,11 @@ def parse_pexpr(text: str, preds: Iterable[PredicateSym] | Mapping[str, Predicat
     return _build_pexpr(read_one(text), _pred_table(preds))
 
 
+def parse_predicate(text: str, preds: Iterable[PredicateSym] | Mapping[str, PredicateSym]) -> PredicateSym:
+    """Parse the name of a declared predicate."""
+    return _lookup(_pred_table(preds), read_one(text))
+
+
 # Traces and reports render the same few forms many times over.
 @lru_cache(maxsize=4096)
 def render_pexpr(p: PredExpr) -> str:

@@ -1,9 +1,12 @@
-"""Reading analysis and the five oddness predictors.
+"""Reading analysis, the five oddness predictors and the trace rules.
 
 Every predictor returns a verdict plus a trace of replayable derivation
-steps: each step names a rule, the rendered forms it consumed, and the
-rendered result. ``replay_step`` re-executes any recorded step against the
-same context, so a trace can be audited mechanically.
+steps: each step names a rule, the rendered inputs it consumed, and the
+rendered result. Each rule is defined once, in ``RULES``: the kinds of its
+inputs, the function that computes its value and the renderer of that
+value. Predictors record every step through ``_step``, and ``replay_step``
+parses a recorded step's inputs by their kinds and runs the same function,
+so a trace can be audited mechanically.
 
 Sentences whose top node conjoins two quantified clauses are routed through
 each predictor one clause at a time; the sentence is odd if any clause
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .alternatives import (
     AlternativeSet,
@@ -34,24 +38,28 @@ from .context import (
     continuation_felicity,
     k_holds,
 )
-from .dsl import Scenario, THEORY_NAMES, parse_lf, parse_pexpr, render_lf, render_pexpr
+from .dsl import (
+    Scenario,
+    THEORY_NAMES,
+    parse_lf,
+    parse_pexpr,
+    parse_predicate,
+    render_lf,
+    render_pexpr,
+)
 from .logic import (
     AndConc,
     AndLF,
     FelicityError,
-    Know,
     LogicalForm,
-    NotLF,
     Only,
-    OrLF,
-    Poss,
     Quant,
     SOME,
     consistent,
     entails,
     entails_with_existential_import,
     expand_qi,
-    is_intersective_conjunction,
+    node_facts,
 )
 
 (
@@ -80,8 +88,7 @@ class Mechanism(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     rule: str
     inputs: tuple[str, ...]
     output: str
@@ -116,27 +123,12 @@ class Judgment:
 # ---------------------------------------------------------------------------
 
 
-def _clause_like(lf: LogicalForm) -> bool:
-    return isinstance(lf, Quant) or isinstance(lf, Only)
-
-
 def _clauses(lf: LogicalForm) -> tuple[LogicalForm, ...]:
-    if isinstance(lf, AndLF) and _clause_like(lf.left) and _clause_like(lf.right):
+    """The two clauses of a conjunction of quantified clauses, else lf alone."""
+    clause = (Quant, Only)
+    if isinstance(lf, AndLF) and isinstance(lf.left, clause) and isinstance(lf.right, clause):
         return (lf.left, lf.right)
     return (lf,)
-
-
-def _scopes(lf: LogicalForm):
-    if isinstance(lf, Quant):
-        yield lf.scope
-    elif isinstance(lf, (Only, NotLF, Know, Poss)):
-        yield from _scopes(lf.body)
-    elif isinstance(lf, AndLF):
-        yield from _scopes(lf.left)
-        yield from _scopes(lf.right)
-    elif isinstance(lf, OrLF):
-        for d in lf.disjuncts:
-            yield from _scopes(d)
 
 
 def analyze_reading(lf: LogicalForm) -> Reading:
@@ -146,29 +138,23 @@ def analyze_reading(lf: LogicalForm) -> Reading:
     sequenced conjunction anywhere in a scope defeats concurrency, so it
     dominates a concurrent conjunction elsewhere.
     """
-    if isinstance(lf, AndLF) and _clause_like(lf.left) and _clause_like(lf.right):
+    if len(_clauses(lf)) > 1:
         return Reading.DISTRIBUTIVE_SENTENTIAL
-    scopes = list(_scopes(lf))
-    if any(not is_intersective_conjunction(s) for s in scopes):
+    facts = node_facts(lf)
+    if facts.seq:
         return Reading.SEQUENCED_SPLIT
-    if any(_contains_conc(s) for s in scopes):
+    if facts.conc:
         return Reading.CONCURRENT_COLLECTIVE
     return Reading.SIMPLE
 
 
-def _contains_conc(p) -> bool:
-    if isinstance(p, AndConc):
-        return True
-    if hasattr(p, "body"):
-        return _contains_conc(p.body)
-    if hasattr(p, "left"):
-        return _contains_conc(p.left) or _contains_conc(p.right)
-    return False
-
-
 # ---------------------------------------------------------------------------
-# Trace helpers
+# Trace rules
 # ---------------------------------------------------------------------------
+#
+# The functions in the table call the engine's functions through their
+# module-level names, looked up at each call, so that anything that rebinds
+# those names (a profiler, say) sees the calls a trace makes.
 
 
 def _fmt_alts(alts: AlternativeSet) -> str:
@@ -180,6 +166,185 @@ def _fmt_alts(alts: AlternativeSet) -> str:
 def _fmt_forms(forms) -> str:
     rendered = [render_lf(f) for f in forms]
     return "; ".join(rendered) if rendered else "(none)"
+
+
+def _fmt_form(lf: LogicalForm) -> str:
+    return render_lf(lf)
+
+
+class InputKind(NamedTuple):
+    """How a rule input is recorded and read back: ``render`` turns the
+    value into trace text, ``parse`` turns that text back into the value
+    against the replaying context and its table of declared predicates."""
+
+    render: Callable[[object], str]
+    parse: Callable[[str, ContextState, dict], object]
+
+
+FORM = InputKind(_fmt_form, lambda text, ctx, preds: parse_lf(text, preds))
+# An alternative set is shown as its origin and read back by regenerating it.
+ALTERNATIVES = InputKind(
+    lambda alts: render_lf(alts.origin),
+    lambda text, ctx, preds: RULES["alternatives"].compute(ctx, parse_lf(text, preds)),
+)
+PRUNED_ALTERNATIVES = InputKind(
+    ALTERNATIVES.render,
+    lambda text, ctx, preds: prune_settled(ALTERNATIVES.parse(text, ctx, preds), ctx),
+)
+# Presupposition strength compares contents only, so the variant is not shown.
+PRESUPPOSITION = InputKind(
+    lambda p: render_lf(p.content),
+    lambda text, ctx, preds: Presup(parse_lf(text, preds), PresupVariant.WEAK),
+)
+VARIANT = InputKind(lambda v: v.value, lambda text, ctx, preds: PresupVariant(text))
+RESTRICTOR = InputKind(lambda p: p.name, lambda text, ctx, preds: parse_predicate(text, preds))
+SCOPE = InputKind(lambda p: render_pexpr(p), lambda text, ctx, preds: parse_pexpr(text, preds))
+
+
+class Rule(NamedTuple):
+    """A trace rule: the kinds of its inputs, the function computing its
+    value from the context and the inputs, and the renderer of the value."""
+
+    inputs: tuple[InputKind, ...]
+    compute: Callable[..., object]
+    output: Callable[[object], str]
+
+
+def _words(yes: str, no: str) -> Callable[[bool], str]:
+    # A bool indexes the pair, and the bound method adds no Python frame.
+    return (no, yes).__getitem__
+
+
+_CONSISTENCY = _words("consistent", "inconsistent")
+_ENTAILMENT = _words("entailed", "not-entailed")
+
+
+def _ck_consistent(ctx: ContextState, *lfs: LogicalForm) -> bool:
+    return consistent(ctx.common_knowledge + lfs, ctx.preds, ctx.bound, ctx.scales)
+
+
+def _presupposition(ctx: ContextState, lf: LogicalForm, variant: PresupVariant):
+    """The presupposition, or None where the form has no rule for one."""
+    try:
+        return presupposition(lf, variant)
+    except PresuppositionUndefinedError:
+        return None
+
+
+def _reading_gate(ctx: ContextState, clause: LogicalForm):
+    """The clause's reading, with the prejacent the indirect route expands:
+    a some-clause over a concurrent conjunction, with ``some`` on a scale.
+    The prejacent is None when the route does not apply."""
+    reading = analyze_reading(clause)
+    prejacent = clause.body if isinstance(clause, Only) else clause
+    if not (
+        reading is Reading.CONCURRENT_COLLECTIVE
+        and isinstance(prejacent, Quant)
+        and prejacent.quantifier is SOME
+        and isinstance(prejacent.scope, AndConc)
+        and ctx.scales.scale_for(SOME) is not None
+    ):
+        prejacent = None
+    return reading, prejacent
+
+
+RULES: dict[str, Rule] = {
+    "distributive-split": Rule((FORM,), lambda ctx, lf: _clauses(lf), _fmt_forms),
+    "alternatives": Rule(
+        (FORM,), lambda ctx, lf: substitution_alternatives(lf, ctx.scales, ctx.bound), _fmt_alts
+    ),
+    "prune-settled": Rule((ALTERNATIVES,), lambda ctx, alts: prune_settled(alts, ctx), _fmt_alts),
+    "exh": Rule(
+        (PRUNED_ALTERNATIVES,),
+        lambda ctx, alts: exh(alts.origin, alts, ctx.bound, ctx.scales),
+        _fmt_form,
+    ),
+    "ck-consistency": Rule((FORM,), _ck_consistent, _CONSISTENCY),
+    "presupposition": Rule(
+        (FORM, VARIANT),
+        _presupposition,
+        lambda p: "undefined" if p is None else render_lf(p.content),
+    ),
+    "presup-strength": Rule(
+        (PRESUPPOSITION, PRESUPPOSITION),
+        lambda ctx, p1, p2: presup_strictly_stronger(p1, p2, ctx.preds, ctx.bound, ctx.scales),
+        _words("strictly-stronger", "not-stronger"),
+    ),
+    "contextual-entailment": Rule(
+        (FORM,), lambda ctx, lf: contextually_entails(ctx, lf), _ENTAILMENT
+    ),
+    "logical-entailment": Rule(
+        (FORM, FORM),
+        lambda ctx, lf, alt: entails_with_existential_import(
+            [lf], alt, ctx.preds, ctx.bound, ctx.scales
+        ),
+        _ENTAILMENT,
+    ),
+    "hypothetical-entailment": Rule(
+        (FORM, FORM),
+        lambda ctx, lf, alt: entails(ctx.facts + (lf,), alt, ctx.preds, ctx.bound, ctx.scales),
+        _ENTAILMENT,
+    ),
+    "assertion-consistency": Rule((FORM,), _ck_consistent, _CONSISTENCY),
+    "presupposition-update": Rule((FORM, FORM), _ck_consistent, _CONSISTENCY),
+    "reading-gate": Rule(
+        (FORM,),
+        _reading_gate,
+        lambda gate: f"{gate[0].value}: {'predictor skipped' if gate[1] is None else 'proceed'}",
+    ),
+    "qi-expansion": Rule(
+        (RESTRICTOR, SCOPE),
+        lambda ctx, restrictor, branch: expand_qi(restrictor, branch, ctx.scales.scale_for(SOME)),
+        _fmt_form,
+    ),
+    "expansion-licensed": Rule(
+        (FORM, FORM),
+        lambda ctx, lf, expansion: entails([lf], expansion, ctx.preds, ctx.bound, ctx.scales),
+        _ENTAILMENT,
+    ),
+    "ignorance": Rule((FORM,), lambda ctx, disj: disjunction_ignorance(disj, ctx), _fmt_forms),
+    "clash-check": Rule(
+        (FORM,),
+        lambda ctx, lf: k_holds(ctx, lf),
+        _words("certain in context: contradiction", "not certain: no clash"),
+    ),
+}
+
+
+def _step(trace: list[TraceStep], ctx: ContextState, rule: str, *inputs):
+    """Compute ``rule`` on the inputs, record the step and return the value."""
+    kinds, compute, output = RULES[rule]
+    value = compute(ctx, *inputs)
+    # Every rule takes one or two inputs; spelled out, rendering them costs
+    # no comprehension frame.
+    if len(inputs) == 1:
+        rendered = (kinds[0].render(inputs[0]),)
+    else:
+        (first, second), (x, y) = kinds, inputs
+        rendered = (first.render(x), second.render(y))
+    trace.append(TraceStep(rule, rendered, output(value)))
+    return value
+
+
+def replay_step(step: TraceStep, ctx: ContextState) -> str:
+    """Recompute a recorded trace step against the same context.
+
+    Returns the output the rule produces for the recorded inputs; trace
+    integrity means this equals ``step.output`` for every recorded step. An
+    unknown rule or a wrong number of inputs raises ValueError; an input
+    naming an undeclared predicate raises ParseError, as ``parse_lf`` does.
+    """
+    rule = RULES.get(step.rule)
+    if rule is None:
+        raise ValueError(f"unknown trace rule {step.rule!r}")
+    if len(step.inputs) != len(rule.inputs):
+        raise ValueError(
+            f"trace rule {step.rule!r} takes {len(rule.inputs)} inputs,"
+            f" got {len(step.inputs)}"
+        )
+    preds = {p.name: p for p in ctx.preds}
+    values = [kind.parse(text, ctx, preds) for kind, text in zip(rule.inputs, step.inputs)]
+    return rule.output(rule.compute(ctx, *values))
 
 
 # ---------------------------------------------------------------------------
@@ -197,42 +362,18 @@ def predict_magri_blind(lf: LogicalForm, ctx: ContextState) -> TheoryVerdict:
     so there the clash is a direct contextual contradiction.
     """
     trace: list[TraceStep] = []
-    mechanism = Mechanism.NONE
-    for clause in _traced_clauses(lf, trace):
+    fired: list[Mechanism] = []
+    for clause in _traced_clauses(lf, ctx, trace):
         if isinstance(clause, Only):
-            ok = consistent(
-                ctx.common_knowledge + (clause,), ctx.preds, ctx.bound, ctx.scales
-            )
-            trace.append(
-                TraceStep(
-                    "ck-consistency",
-                    (render_lf(clause),),
-                    "consistent" if ok else "inconsistent",
-                )
-            )
-            if not ok and mechanism is Mechanism.NONE:
-                mechanism = Mechanism.DIRECT_CONTEXTUAL_CONTRADICTION
+            if not _step(trace, ctx, "ck-consistency", clause):
+                fired.append(Mechanism.DIRECT_CONTEXTUAL_CONTRADICTION)
             continue
-        rendered = render_lf(clause)
-        alts = substitution_alternatives(clause, ctx.scales, ctx.bound)
-        trace.append(TraceStep("alternatives", (rendered,), _fmt_alts(alts)))
-        pruned = prune_settled(alts, ctx)
-        trace.append(TraceStep("prune-settled", (rendered,), _fmt_alts(pruned)))
-        strengthened = exh(clause, pruned, ctx.bound, ctx.scales)
-        trace.append(TraceStep("exh", (rendered,), render_lf(strengthened)))
-        ok = consistent(
-            ctx.common_knowledge + (strengthened,), ctx.preds, ctx.bound, ctx.scales
-        )
-        trace.append(
-            TraceStep(
-                "ck-consistency",
-                (render_lf(strengthened),),
-                "consistent" if ok else "inconsistent",
-            )
-        )
-        if not ok and mechanism is Mechanism.NONE:
-            mechanism = Mechanism.MISMATCHING_SI
-    return _verdict(THEORY_MAGRI_BLIND, mechanism, trace)
+        alts = _step(trace, ctx, "alternatives", clause)
+        pruned = _step(trace, ctx, "prune-settled", alts)
+        strengthened = _step(trace, ctx, "exh", pruned)
+        if not _step(trace, ctx, "ck-consistency", strengthened):
+            fired.append(Mechanism.MISMATCHING_SI)
+    return _verdict(THEORY_MAGRI_BLIND, fired, trace)
 
 
 def predict_presupposed_ignorance(lf: LogicalForm, ctx: ContextState) -> TheoryVerdict:
@@ -243,55 +384,20 @@ def predict_presupposed_ignorance(lf: LogicalForm, ctx: ContextState) -> TheoryV
     alternatives without a presupposition rule are skipped.
     """
     trace: list[TraceStep] = []
-    mechanism = Mechanism.NONE
-    for clause in _traced_clauses(lf, trace):
-        rendered = render_lf(clause)
-        try:
-            own = presupposition(clause, PresupVariant.WEAK)
-        except PresuppositionUndefinedError:
-            trace.append(TraceStep("presupposition", (rendered, "weak"), "undefined"))
+    fired: list[Mechanism] = []
+    for clause in _traced_clauses(lf, ctx, trace):
+        own = _step(trace, ctx, "presupposition", clause, PresupVariant.WEAK)
+        if own is None:
             continue
-        trace.append(
-            TraceStep("presupposition", (rendered, "weak"), render_lf(own.content))
-        )
-        alts = substitution_alternatives(clause, ctx.scales, ctx.bound)
-        trace.append(TraceStep("alternatives", (rendered,), _fmt_alts(alts)))
-        for m in alts.forms():
-            try:
-                alt_presup = presupposition(m, PresupVariant.WEAK)
-            except PresuppositionUndefinedError:
-                trace.append(
-                    TraceStep("presupposition", (render_lf(m), "weak"), "undefined")
-                )
-                continue
-            trace.append(
-                TraceStep(
-                    "presupposition", (render_lf(m), "weak"), render_lf(alt_presup.content)
-                )
-            )
-            stronger = presup_strictly_stronger(
-                alt_presup, own, ctx.preds, ctx.bound, ctx.scales
-            )
-            trace.append(
-                TraceStep(
-                    "presup-strength",
-                    (render_lf(alt_presup.content), render_lf(own.content)),
-                    "strictly-stronger" if stronger else "not-stronger",
-                )
-            )
-            if not stronger:
-                continue
-            established = contextually_entails(ctx, alt_presup.content)
-            trace.append(
-                TraceStep(
-                    "contextual-entailment",
-                    (render_lf(alt_presup.content),),
-                    "entailed" if established else "not-entailed",
-                )
-            )
-            if established and mechanism is Mechanism.NONE:
-                mechanism = Mechanism.PRESUPPOSED_IGNORANCE
-    return _verdict(THEORY_PRESUPPOSED_IGNORANCE, mechanism, trace)
+        for m in _step(trace, ctx, "alternatives", clause).forms():
+            alt_presup = _step(trace, ctx, "presupposition", m, PresupVariant.WEAK)
+            if (
+                alt_presup is not None
+                and _step(trace, ctx, "presup-strength", alt_presup, own)
+                and _step(trace, ctx, "contextual-entailment", alt_presup.content)
+            ):
+                fired.append(Mechanism.PRESUPPOSED_IGNORANCE)
+    return _verdict(THEORY_PRESUPPOSED_IGNORANCE, fired, trace)
 
 
 def predict_logical_integrity(lf: LogicalForm, ctx: ContextState) -> TheoryVerdict:
@@ -304,37 +410,14 @@ def predict_logical_integrity(lf: LogicalForm, ctx: ContextState) -> TheoryVerdi
     checks the context hypothetically updated with the sentence itself.
     """
     trace: list[TraceStep] = []
-    mechanism = Mechanism.NONE
-    for clause in _traced_clauses(lf, trace):
-        rendered = render_lf(clause)
-        alts = substitution_alternatives(clause, ctx.scales, ctx.bound)
-        trace.append(TraceStep("alternatives", (rendered,), _fmt_alts(alts)))
-        for m in alts.forms():
-            logical = entails_with_existential_import(
-                [clause], m, ctx.preds, ctx.bound, ctx.scales
-            )
-            trace.append(
-                TraceStep(
-                    "logical-entailment",
-                    (rendered, render_lf(m)),
-                    "entailed" if logical else "not-entailed",
-                )
-            )
-            if logical:
-                continue
-            contextual = entails(
-                ctx.facts + (clause,), m, ctx.preds, ctx.bound, ctx.scales
-            )
-            trace.append(
-                TraceStep(
-                    "hypothetical-entailment",
-                    (rendered, render_lf(m)),
-                    "entailed" if contextual else "not-entailed",
-                )
-            )
-            if contextual and mechanism is Mechanism.NONE:
-                mechanism = Mechanism.LOGICAL_INTEGRITY
-    return _verdict(THEORY_LOGICAL_INTEGRITY, mechanism, trace)
+    fired: list[Mechanism] = []
+    for clause in _traced_clauses(lf, ctx, trace):
+        for m in _step(trace, ctx, "alternatives", clause).forms():
+            if not _step(trace, ctx, "logical-entailment", clause, m) and _step(
+                trace, ctx, "hypothetical-entailment", clause, m
+            ):
+                fired.append(Mechanism.LOGICAL_INTEGRITY)
+    return _verdict(THEORY_LOGICAL_INTEGRITY, fired, trace)
 
 
 def predict_del_pinal(lf: LogicalForm, ctx: ContextState) -> TheoryVerdict:
@@ -348,47 +431,19 @@ def predict_del_pinal(lf: LogicalForm, ctx: ContextState) -> TheoryVerdict:
     same mechanism.
     """
     trace: list[TraceStep] = []
-    mechanism = Mechanism.NONE
-    for clause in _traced_clauses(lf, trace):
-        rendered = render_lf(clause)
-        try:
-            p = presupposition(clause, PresupVariant.EXHAUSTIFIED)
-        except PresuppositionUndefinedError:
-            trace.append(
-                TraceStep("presupposition", (rendered, "exhaustified"), "undefined")
-            )
+    fired: list[Mechanism] = []
+    for clause in _traced_clauses(lf, ctx, trace):
+        p = _step(trace, ctx, "presupposition", clause, PresupVariant.EXHAUSTIFIED)
+        if p is None:
             continue
-        trace.append(
-            TraceStep("presupposition", (rendered, "exhaustified"), render_lf(p.content))
-        )
-        assertable = consistent(
-            ctx.common_knowledge + (clause,), ctx.preds, ctx.bound, ctx.scales
-        )
-        trace.append(
-            TraceStep(
-                "assertion-consistency",
-                (rendered,),
-                "consistent" if assertable else "inconsistent",
-            )
-        )
-        joint = consistent(
-            ctx.common_knowledge + (p.content, clause), ctx.preds, ctx.bound, ctx.scales
-        )
-        trace.append(
-            TraceStep(
-                "presupposition-update",
-                (render_lf(p.content), rendered),
-                "consistent" if joint else "inconsistent",
-            )
-        )
-        if assertable and not joint and mechanism is Mechanism.NONE:
-            mechanism = Mechanism.PRESUPPOSITION_UPDATE_CLASH
-    return _verdict(THEORY_DEL_PINAL, mechanism, trace)
+        assertable = _step(trace, ctx, "assertion-consistency", clause)
+        joint = _step(trace, ctx, "presupposition-update", p.content, clause)
+        if assertable and not joint:
+            fired.append(Mechanism.PRESUPPOSITION_UPDATE_CLASH)
+    return _verdict(THEORY_DEL_PINAL, fired, trace)
 
 
-def predict_indirect_contradiction(
-    lf: LogicalForm, ctx: ContextState, check_all_disjuncts: bool = True
-) -> TheoryVerdict:
+def predict_indirect_contradiction(lf: LogicalForm, ctx: ContextState) -> TheoryVerdict:
     """The concurrent-conjunction mechanism: an ignorance implicature drawn
     from an entailed scale-mate disjunction clashes with what the context
     makes certain.
@@ -398,89 +453,37 @@ def predict_indirect_contradiction(
     of scale-mate clauses over that branch alone; asserting only the weak
     clause therefore signals ignorance about the undecided disjuncts, and
     the sentence is odd if the context is in fact certain about one of
-    them. With ``check_all_disjuncts`` false only the strongest surviving
-    disjunct is clash-checked.
+    them.
     """
     trace: list[TraceStep] = []
-    mechanism = Mechanism.NONE
-    for clause in _traced_clauses(lf, trace):
-        prejacent = clause.body if isinstance(clause, Only) else clause
-        reading = analyze_reading(clause)
-        scale = ctx.scales.scale_for(SOME)
-        gate_ok = (
-            reading is Reading.CONCURRENT_COLLECTIVE
-            and isinstance(prejacent, Quant)
-            and prejacent.quantifier is SOME
-            and isinstance(prejacent.scope, AndConc)
-            and scale is not None
-        )
-        trace.append(
-            TraceStep(
-                "reading-gate",
-                (render_lf(clause),),
-                f"{reading.value}: proceed"
-                if gate_ok
-                else f"{reading.value}: predictor skipped",
-            )
-        )
-        if not gate_ok:
+    fired: list[Mechanism] = []
+    for clause in _traced_clauses(lf, ctx, trace):
+        _, prejacent = _step(trace, ctx, "reading-gate", clause)
+        if prejacent is None:
             continue
         for branch in (prejacent.scope.left, prejacent.scope.right):
-            expansion = expand_qi(prejacent.restrictor, branch, scale)
-            trace.append(
-                TraceStep(
-                    "qi-expansion",
-                    (prejacent.restrictor.name, render_pexpr(branch)),
-                    render_lf(expansion),
-                )
-            )
-            licensed = entails(
-                [prejacent], expansion, ctx.preds, ctx.bound, ctx.scales
-            )
-            trace.append(
-                TraceStep(
-                    "expansion-licensed",
-                    (render_lf(prejacent), render_lf(expansion)),
-                    "entailed" if licensed else "not-entailed",
-                )
-            )
-            if not licensed:
+            expansion = _step(trace, ctx, "qi-expansion", prejacent.restrictor, branch)
+            if not _step(trace, ctx, "expansion-licensed", prejacent, expansion):
                 continue
-            ignorance = disjunction_ignorance(expansion, ctx)
-            trace.append(
-                TraceStep("ignorance", (render_lf(expansion),), _fmt_forms(ignorance))
-            )
-            targets = [i.body.body for i in ignorance]
-            if not check_all_disjuncts:
-                targets = targets[:1]
-            for d in targets:
-                clash = k_holds(ctx, d)
-                trace.append(
-                    TraceStep(
-                        "clash-check",
-                        (render_lf(d),),
-                        "certain in context: contradiction"
-                        if clash
-                        else "not certain: no clash",
-                    )
-                )
-                if clash and mechanism is Mechanism.NONE:
-                    mechanism = Mechanism.INDIRECT_CONTEXTUAL_CONTRADICTION
-    return _verdict(THEORY_INDIRECT, mechanism, trace)
+            for ignorance in _step(trace, ctx, "ignorance", expansion):
+                if _step(trace, ctx, "clash-check", ignorance.body.body):
+                    fired.append(Mechanism.INDIRECT_CONTEXTUAL_CONTRADICTION)
+    return _verdict(THEORY_INDIRECT, fired, trace)
 
 
-def _traced_clauses(lf: LogicalForm, trace: list[TraceStep]) -> tuple[LogicalForm, ...]:
-    clauses = _clauses(lf)
-    if len(clauses) > 1:
-        trace.append(
-            TraceStep("distributive-split", (render_lf(lf),), _fmt_forms(clauses))
-        )
-    return clauses
+def _traced_clauses(
+    lf: LogicalForm, ctx: ContextState, trace: list[TraceStep]
+) -> tuple[LogicalForm, ...]:
+    if len(_clauses(lf)) > 1:
+        return _step(trace, ctx, "distributive-split", lf)
+    return (lf,)
 
 
-def _verdict(theory: str, mechanism: Mechanism, trace: list[TraceStep]) -> TheoryVerdict:
-    verdict = Verdict.ODD if mechanism is not Mechanism.NONE else Verdict.FELICITOUS
-    return TheoryVerdict(theory, verdict, mechanism, tuple(trace))
+def _verdict(theory: str, fired: list[Mechanism], trace: list[TraceStep]) -> TheoryVerdict:
+    """The verdict of a theory; the first mechanism that fired names it."""
+    if fired:
+        return TheoryVerdict(theory, Verdict.ODD, fired[0], tuple(trace))
+    return TheoryVerdict(theory, Verdict.FELICITOUS, Mechanism.NONE, tuple(trace))
 
 
 _PREDICTORS = {
@@ -497,7 +500,7 @@ _PREDICTORS = {
 # ---------------------------------------------------------------------------
 
 
-def judge(scenario: Scenario, check_all_disjuncts: bool = True) -> Judgment:
+def judge(scenario: Scenario) -> Judgment:
     """Run every enabled predictor on the scenario target.
 
     The aggregate is odd iff at least one enabled theory fires. Continuation
@@ -514,14 +517,7 @@ def judge(scenario: Scenario, check_all_disjuncts: bool = True) -> Judgment:
     unknown = [n for n in scenario.enabled_theories if n not in _PREDICTORS]
     if unknown:
         raise FelicityError(f"unknown theories {unknown}; pick from {THEORY_NAMES}")
-    verdicts = []
-    for name in scenario.enabled_theories:
-        if name == THEORY_INDIRECT:
-            verdicts.append(
-                predict_indirect_contradiction(scenario.target, ctx, check_all_disjuncts)
-            )
-        else:
-            verdicts.append(_PREDICTORS[name](scenario.target, ctx))
+    verdicts = tuple(_PREDICTORS[n](scenario.target, ctx) for n in scenario.enabled_theories)
     aggregate = (
         Verdict.ODD if any(v.fired for v in verdicts) else Verdict.FELICITOUS
     )
@@ -531,108 +527,7 @@ def judge(scenario: Scenario, check_all_disjuncts: bool = True) -> Judgment:
     )
     return Judgment(
         reading=reading,
-        theories=tuple(verdicts),
+        theories=verdicts,
         aggregate=aggregate,
         continuations=continuations,
     )
-
-
-# ---------------------------------------------------------------------------
-# Trace replay
-# ---------------------------------------------------------------------------
-
-
-def replay_step(step: TraceStep, ctx: ContextState) -> str:
-    """Recompute a recorded trace step against the same context.
-
-    Returns the output the rule produces for the recorded inputs; trace
-    integrity means this equals ``step.output`` for every recorded step.
-    """
-    preds = {p.name: p for p in ctx.preds}
-
-    def lf(text: str) -> LogicalForm:
-        return parse_lf(text, preds)
-
-    rule = step.rule
-    if rule == "distributive-split":
-        return _fmt_forms(_clauses(lf(step.inputs[0])))
-    if rule == "alternatives":
-        return _fmt_alts(substitution_alternatives(lf(step.inputs[0]), ctx.scales, ctx.bound))
-    if rule == "prune-settled":
-        alts = substitution_alternatives(lf(step.inputs[0]), ctx.scales, ctx.bound)
-        return _fmt_alts(prune_settled(alts, ctx))
-    if rule == "exh":
-        alts = prune_settled(
-            substitution_alternatives(lf(step.inputs[0]), ctx.scales, ctx.bound), ctx
-        )
-        return render_lf(exh(lf(step.inputs[0]), alts, ctx.bound, ctx.scales))
-    if rule == "ck-consistency":
-        ok = consistent(
-            ctx.common_knowledge + (lf(step.inputs[0]),), ctx.preds, ctx.bound, ctx.scales
-        )
-        return "consistent" if ok else "inconsistent"
-    if rule == "presupposition":
-        try:
-            p = presupposition(lf(step.inputs[0]), PresupVariant(step.inputs[1]))
-        except PresuppositionUndefinedError:
-            return "undefined"
-        return render_lf(p.content)
-    if rule == "presup-strength":
-        p1 = Presup(lf(step.inputs[0]), PresupVariant.WEAK)
-        p2 = Presup(lf(step.inputs[1]), PresupVariant.WEAK)
-        stronger = presup_strictly_stronger(p1, p2, ctx.preds, ctx.bound, ctx.scales)
-        return "strictly-stronger" if stronger else "not-stronger"
-    if rule == "contextual-entailment":
-        ok = contextually_entails(ctx, lf(step.inputs[0]))
-        return "entailed" if ok else "not-entailed"
-    if rule == "logical-entailment":
-        ok = entails_with_existential_import(
-            [lf(step.inputs[0])], lf(step.inputs[1]), ctx.preds, ctx.bound, ctx.scales
-        )
-        return "entailed" if ok else "not-entailed"
-    if rule == "hypothetical-entailment":
-        ok = entails(
-            ctx.facts + (lf(step.inputs[0]),), lf(step.inputs[1]),
-            ctx.preds, ctx.bound, ctx.scales,
-        )
-        return "entailed" if ok else "not-entailed"
-    if rule == "assertion-consistency":
-        ok = consistent(
-            ctx.common_knowledge + (lf(step.inputs[0]),), ctx.preds, ctx.bound, ctx.scales
-        )
-        return "consistent" if ok else "inconsistent"
-    if rule == "presupposition-update":
-        ok = consistent(
-            ctx.common_knowledge + (lf(step.inputs[0]), lf(step.inputs[1])),
-            ctx.preds, ctx.bound, ctx.scales,
-        )
-        return "consistent" if ok else "inconsistent"
-    if rule == "reading-gate":
-        clause = lf(step.inputs[0])
-        prejacent = clause.body if isinstance(clause, Only) else clause
-        reading = analyze_reading(clause)
-        gate_ok = (
-            reading is Reading.CONCURRENT_COLLECTIVE
-            and isinstance(prejacent, Quant)
-            and prejacent.quantifier is SOME
-            and isinstance(prejacent.scope, AndConc)
-            and ctx.scales.scale_for(SOME) is not None
-        )
-        return f"{reading.value}: proceed" if gate_ok else f"{reading.value}: predictor skipped"
-    if rule == "qi-expansion":
-        restrictor = preds[step.inputs[0]]
-        branch = parse_pexpr(step.inputs[1], preds)
-        scale = ctx.scales.scale_for(SOME)
-        return render_lf(expand_qi(restrictor, branch, scale))
-    if rule == "expansion-licensed":
-        ok = entails(
-            [lf(step.inputs[0])], lf(step.inputs[1]), ctx.preds, ctx.bound, ctx.scales
-        )
-        return "entailed" if ok else "not-entailed"
-    if rule == "ignorance":
-        disj = lf(step.inputs[0])
-        return _fmt_forms(disjunction_ignorance(disj, ctx))
-    if rule == "clash-check":
-        clash = k_holds(ctx, lf(step.inputs[0]))
-        return "certain in context: contradiction" if clash else "not certain: no clash"
-    raise ValueError(f"unknown trace rule {rule!r}")

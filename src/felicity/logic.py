@@ -35,7 +35,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import product
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
     from .scales import ScaleRegistry
@@ -202,7 +202,7 @@ class AndSeq(Interned):
 
     def __post_init__(self):
         for side, sub in (("left", self.left), ("right", self.right)):
-            if not _has_eventive_atom(sub):
+            if not node_facts(sub).eventive:
                 raise WellFormednessError(
                     f"and-seq requires an eventive atom in each conjunct;"
                     f" {side} conjunct has none"
@@ -286,77 +286,84 @@ class Poss(Interned):
 
 
 LogicalForm = Union[Quant, Only, NotLF, AndLF, OrLF, Know, Poss]
+_FORMS = LogicalForm.__args__
 
 
-def _has_eventive_atom(p: PredExpr) -> bool:
-    if isinstance(p, Atom):
-        return p.pred.temporal_class == EVENTIVE
-    if isinstance(p, NotP):
-        return _has_eventive_atom(p.body)
-    if isinstance(p, (AndConc, AndSeq)):
-        return _has_eventive_atom(p.left) or _has_eventive_atom(p.right)
-    return False
+class NodeFacts(NamedTuple):
+    """What the engine asks of a node's whole subtree."""
+
+    form: bool  # a logical form, not a predicate expression or symbol
+    epistemic_free: bool  # no know or poss
+    preds: tuple[PredicateSym, ...]  # every predicate symbol, restrictors included
+    restrictors: tuple[PredicateSym, ...]  # every quantifier restrictor
+    eventive: bool  # an eventive predicate occurs
+    seq: bool  # an and-seq occurs
+    conc: bool  # an and-conc occurs
 
 
-def pexpr_atoms(p: PredExpr) -> tuple[PredicateSym, ...]:
-    if isinstance(p, Atom):
-        return (p.pred,)
-    if isinstance(p, NotP):
-        return pexpr_atoms(p.body)
-    if isinstance(p, (AndConc, AndSeq)):
-        return pexpr_atoms(p.left) + pexpr_atoms(p.right)
-    return ()
+def node_facts(node: Interned) -> NodeFacts:
+    """The facts of a form, predicate expression or predicate symbol, built
+    from its children's facts on the first call for each node and then kept
+    on it. Symbols and tuples come in order of occurrence."""
+    facts = getattr(node, "_facts", None)
+    if facts is not None:
+        return facts
+    cls = type(node)  # exact-type tests: isinstance on these classes is slow
+    if cls is PredicateSym:
+        facts = NodeFacts(False, True, (node,), (), node.temporal_class == EVENTIVE, False, False)
+    else:
+        # The operands of a connective or operator must be forms; those of a
+        # clause or a predicate expression are symbols and expressions.
+        takes_forms = cls in _FORMS and cls is not Quant
+        free = cls is not Know and cls is not Poss
+        eventive, seq, conc = False, cls is AndSeq, cls is AndConc
+        preds, restrictors = (), ((node.restrictor,) if cls is Quant else ())
+        for value in node._fields():
+            for child in value if isinstance(value, tuple) else (value,):
+                if takes_forms:
+                    part = _form_facts(child)
+                elif isinstance(child, Interned):
+                    part = node_facts(child)
+                else:
+                    continue
+                free = free and part.epistemic_free
+                preds += part.preds
+                restrictors += part.restrictors
+                eventive = eventive or part.eventive
+                seq = seq or part.seq
+                conc = conc or part.conc
+        facts = NodeFacts(cls in _FORMS, free, preds, restrictors, eventive, seq, conc)
+    object.__setattr__(node, "_facts", facts)
+    return facts
 
 
-def _form_facts(
-    lf: LogicalForm,
-) -> tuple[bool, tuple[PredicateSym, ...], tuple[PredicateSym, ...]]:
-    """Whether lf is epistemic-free, its predicate symbols and its
-    restrictors, built from the children's facts on the first call for each
-    form and then kept on it."""
+def _form_facts(lf: LogicalForm) -> NodeFacts:
+    """The facts of lf, which must be a logical form."""
     facts = getattr(lf, "_facts", None)
-    if facts is None:
-        if isinstance(lf, Quant):
-            facts = (True, (lf.restrictor,) + pexpr_atoms(lf.scope), (lf.restrictor,))
-        elif isinstance(lf, (Only, NotLF, Know, Poss)):
-            free, preds, restrictors = _form_facts(lf.body)
-            facts = (free and not isinstance(lf, (Know, Poss)), preds, restrictors)
-        elif isinstance(lf, (AndLF, OrLF)):
-            children = lf.disjuncts if isinstance(lf, OrLF) else (lf.left, lf.right)
-            parts = [_form_facts(d) for d in children]
-            facts = (
-                all(free for free, _, _ in parts),
-                sum((preds for _, preds, _ in parts), ()),
-                sum((restrictors for _, _, restrictors in parts), ()),
-            )
-        else:
-            raise TypeError(f"not a logical form: {lf!r}")
-        object.__setattr__(lf, "_facts", facts)
+    if facts is None and isinstance(lf, Interned):
+        facts = node_facts(lf)
+    if facts is None or not facts.form:
+        raise TypeError(f"not a logical form: {lf!r}")
     return facts
 
 
 def is_epistemic_free(lf: LogicalForm) -> bool:
-    return _form_facts(lf)[0]
+    return _form_facts(lf).epistemic_free
 
 
 def lf_predicates(lf: LogicalForm) -> tuple[PredicateSym, ...]:
     """All predicate symbols occurring in lf, restrictors included."""
-    return _form_facts(lf)[1]
+    return _form_facts(lf).preds
 
 
-def lf_restrictors(lf: LogicalForm) -> tuple[PredicateSym, ...]:
-    """Predicate symbols used as quantifier restrictors anywhere in lf."""
-    return _form_facts(lf)[2]
-
-
-def _contains_andseq(p: PredExpr) -> bool:
-    if isinstance(p, AndSeq):
-        return True
-    if isinstance(p, NotP):
-        return _contains_andseq(p.body)
-    if isinstance(p, AndConc):
-        return _contains_andseq(p.left) or _contains_andseq(p.right)
-    return False
+def existence_premises(lfs: Iterable[LogicalForm]) -> tuple[LogicalForm, ...]:
+    """``(some r true)`` for every quantifier restrictor r anywhere in the
+    forms, one per name, in name order: the existential import of lfs."""
+    restrictors: dict[str, PredicateSym] = {}
+    for lf in lfs:
+        for r in _form_facts(lf).restrictors:
+            restrictors.setdefault(r.name, r)
+    return tuple(Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items()))
 
 
 def is_intersective_conjunction(p: PredExpr) -> bool:
@@ -365,7 +372,7 @@ def is_intersective_conjunction(p: PredExpr) -> bool:
     Sequenced events are not commutative, so a scope containing and-seq does
     not denote an intersection and supports no concurrent-situation reading.
     """
-    return not _contains_andseq(p)
+    return not node_facts(p).seq
 
 
 # ---------------------------------------------------------------------------
@@ -787,11 +794,12 @@ def _check_sequents(
         raise ValueError("bound must be >= 1")
     declared = {p.name for p in preds}
     for lf in lfs:
-        if not is_epistemic_free(lf):
+        facts = _form_facts(lf)
+        if not facts.epistemic_free:
             raise EpistemicContextRequired(
                 "entailment and consistency are defined for epistemic-free forms"
             )
-        used = {p.name for p in lf_predicates(lf)}
+        used = {p.name for p in facts.preds}
         if not used <= declared:
             raise DeclarationError(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"
@@ -884,12 +892,8 @@ def entails_with_existential_import(
     a vacuously true universal otherwise breaks the ordering. Every strength
     comparison between scale-mates goes through this variant.
     """
-    restrictors: dict[str, PredicateSym] = {}
-    for lf in (*premises, conclusion):
-        for r in _form_facts(lf)[2]:
-            restrictors.setdefault(r.name, r)
-    existence = [Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items())]
-    return entails(list(premises) + existence, conclusion, preds, bound, scales, budget_bits)
+    existence = existence_premises((*premises, conclusion))
+    return entails((*premises, *existence), conclusion, preds, bound, scales, budget_bits)
 
 
 # ---------------------------------------------------------------------------

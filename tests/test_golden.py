@@ -6,21 +6,27 @@ The files under ``tests/data/`` hold the exact output of
 
 so any change to verdicts, mechanisms, traces or JSON layout shows up as a
 byte difference. Regenerate them with that command only when a change of
-output is intended, and say so in ``CHANGES.md``.
+output is intended, and say so in ``CHANGES.md``. Every step recorded in
+them must also replay, read back from the JSON, against its scenario's
+context at that bound.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from felicity import ContextState, parse_scenario, replay_step, report_from_dict
 from felicity.cli import main
+from felicity.judge import RULES
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 FIXTURES = sorted((ROOT / "fixtures").glob("*.sexp"))
 CASES = [(f, bound) for f in FIXTURES for bound in (3, 4, 5)]
+IDS = [f"{f.stem}-bound{bound}" for f, bound in CASES]
 
 
 def test_every_fixture_has_golden_output():
@@ -30,11 +36,38 @@ def test_every_fixture_has_golden_output():
     )
 
 
-@pytest.mark.parametrize(
-    "fixture, bound", CASES, ids=[f"{f.stem}-bound{bound}" for f, bound in CASES]
-)
+@pytest.mark.parametrize("fixture, bound", CASES, ids=IDS)
 def test_json_explain_matches_golden(capsys, fixture, bound):
     code = main(["run", "--format", "json", "--explain", "--bound", str(bound), str(fixture)])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / f"{fixture.stem}.bound{bound}.json").read_text(encoding="utf-8")
+
+
+def _replayed_rules(fixture: Path, bound: int) -> set[str]:
+    """Replay every step of a golden report; return the rules it used."""
+    scenario = parse_scenario(fixture.read_text(encoding="utf-8"), str(fixture), bound)
+    ctx = ContextState(
+        common_knowledge=scenario.common_knowledge,
+        discourse=scenario.discourse,
+        preds=scenario.preds,
+        bound=scenario.max_universe,
+        scales=scenario.scales,
+    )
+    golden = (DATA / f"{fixture.stem}.bound{bound}.json").read_text(encoding="utf-8")
+    report = report_from_dict(json.loads(golden))
+    rules = set()
+    for row in report.theories:
+        for step in row.trace:
+            assert replay_step(step, ctx) == step.output, (row.name, step)
+            rules.add(step.rule)
+    return rules
+
+
+@pytest.mark.parametrize("fixture, bound", CASES, ids=IDS)
+def test_every_golden_step_replays(fixture, bound):
+    assert _replayed_rules(fixture, bound)
+
+
+def test_the_golden_traces_use_every_rule():
+    assert set().union(*(_replayed_rules(f, bound) for f, bound in CASES)) == set(RULES)

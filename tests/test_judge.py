@@ -17,15 +17,18 @@ from felicity import (
     NO,
     NotLF,
     Only,
+    ParseError,
     Quant,
     Reading,
     Scenario,
     SOME,
     TRUE,
+    TraceStep,
     Verdict,
     analyze_reading,
     consistent,
     judge,
+    parse_pexpr,
     predict_del_pinal,
     predict_indirect_contradiction,
     predict_logical_integrity,
@@ -301,12 +304,6 @@ class TestIndirectContradiction:
                 is Verdict.FELICITOUS
             )
 
-    def test_strongest_only_mode(self, italian_ctx):
-        v = predict_indirect_contradiction(
-            SENTENCE_4, italian_ctx, check_all_disjuncts=False
-        )
-        assert v.verdict is Verdict.ODD  # the universal disjunct is the clash
-
     def test_distributive_input_routes_per_conjunct(self, italian_ctx):
         v = predict_indirect_contradiction(SENTENCE_14, italian_ctx)
         assert v.verdict is Verdict.FELICITOUS
@@ -454,3 +451,27 @@ class TestTraceIntegrity:
                         verdict.theory,
                         step,
                     )
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (TraceStep("ck-consistency", ("(some italian warm)", "junk"), "consistent"),
+             "takes 1 inputs, got 2"),
+            (TraceStep("logical-entailment", ("(some italian warm)",), "entailed"),
+             "takes 2 inputs, got 1"),
+            (TraceStep("guess", ("(some italian warm)",), "odd"), "unknown trace rule"),
+        ],
+        ids=["extra input", "missing input", "unknown rule"],
+    )
+    def test_a_malformed_step_is_rejected(self, italian_ctx, step, message):
+        with pytest.raises(ValueError, match=message):
+            replay_step(step, italian_ctx)
+
+    def test_an_undeclared_restrictor_raises_the_parsers_error(self, italian_ctx):
+        step = TraceStep("qi-expansion", ("german", "(and-conc warm blond)"), "(none)")
+        with pytest.raises(ParseError) as replayed:
+            replay_step(step, italian_ctx)
+        with pytest.raises(ParseError) as parsed:
+            parse_pexpr("german", ITALIAN_PREDS)
+        assert str(replayed.value) == str(parsed.value)
+        assert "undeclared predicate 'german'" in str(replayed.value)

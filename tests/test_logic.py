@@ -36,11 +36,13 @@ from felicity import (
     PredicateSym,
     QI,
     Quant,
+    Reading,
     ResourceBudgetError,
     ScaleError,
     SOME,
     TRUE,
     WellFormednessError,
+    analyze_reading,
     consistent,
     entails,
     enumerate_models,
@@ -777,6 +779,7 @@ _INVALID = {
                         (ITALIAN, WARM, PredicateSym("warm")), 3),
     "predicate expression as a form": (TypeError, [Atom(WARM)], _ONE[0], ITALIAN_PREDS, 3),
     "list as a form": (TypeError, [_ONE], _ONE[0], ITALIAN_PREDS, 3),
+    "predicate expression under not": (TypeError, [NotLF(Atom(WARM))], _ONE[0], ITALIAN_PREDS, 3),
 }
 
 _ORACLES = {
@@ -833,20 +836,22 @@ class TestFrontDoor:
                 _ORACLES[oracle](*query)
             assert len(checks) == calls
 
-    @settings(max_examples=200, deadline=None)
-    @given(_epistemic_forms(_POOL, 3))
-    def test_form_facts_match_a_whole_tree_walk(self, form):
-        assert (
-            logic.is_epistemic_free(form),
-            logic.lf_predicates(form),
-            logic.lf_restrictors(form),
-        ) == _walk_facts(form)
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_epistemic_forms(_POOL, 3), _scopes(_POOL, 3), st.sampled_from(_POOL)))
+    def test_form_facts_match_a_whole_tree_walk(self, node):
+        facts = _walk_facts(node)
+        assert logic.node_facts(node) == facts
+        if facts[0]:
+            assert (logic.is_epistemic_free(node), logic.lf_predicates(node)) == facts[1:3]
+            assert analyze_reading(node) is _walk_reading(node)
+        else:
+            with pytest.raises(TypeError, match="^not a logical form: "):
+                logic.lf_predicates(node)
+            assert is_intersective_conjunction(node) is not facts[5]
 
 
-def _walk_facts(lf):
-    """Reference for the stored form facts, from a generic walk over every
-    node's fields: (no Know or Poss anywhere, every predicate symbol, every
-    restrictor), in order of occurrence."""
+def _walk(node):
+    """Every node under node, itself included, in order of occurrence."""
     nodes = []
 
     def visit(x):
@@ -859,9 +864,37 @@ def _walk_facts(lf):
                 for f in dataclasses.fields(x):
                     visit(getattr(x, f.name))
 
-    visit(lf)
+    visit(node)
+    return nodes
+
+
+def _walk_facts(node):
+    """Reference for the stored node facts, from a generic walk over every
+    node's fields: (a logical form, no Know or Poss anywhere, every
+    predicate symbol, every restrictor, an eventive symbol, an and-seq, an
+    and-conc), symbols in order of occurrence."""
+    nodes = _walk(node)
     return (
+        isinstance(node, (Quant, Only, NotLF, AndLF, OrLF, Know, Poss)),
         not any(isinstance(n, (Know, Poss)) for n in nodes),
         tuple(n for n in nodes if isinstance(n, PredicateSym)),
         tuple(n.restrictor for n in nodes if isinstance(n, Quant)),
+        any(isinstance(n, PredicateSym) and n.temporal_class == "eventive" for n in nodes),
+        any(isinstance(n, AndSeq) for n in nodes),
+        any(isinstance(n, AndConc) for n in nodes),
     )
+
+
+def _walk_reading(form):
+    """Reference for analyze_reading: a conjunction of two clauses is
+    distributive; otherwise an and-seq in any quantifier scope makes the
+    reading sequenced, else an and-conc in one makes it concurrent."""
+    clause = (Quant, Only)
+    if isinstance(form, AndLF) and isinstance(form.left, clause) and isinstance(form.right, clause):
+        return Reading.DISTRIBUTIVE_SENTENTIAL
+    scopes = [_walk(n.scope) for n in _walk(form) if isinstance(n, Quant)]
+    if any(isinstance(n, AndSeq) for scope in scopes for n in scope):
+        return Reading.SEQUENCED_SPLIT
+    if any(isinstance(n, AndConc) for scope in scopes for n in scope):
+        return Reading.CONCURRENT_COLLECTIVE
+    return Reading.SIMPLE
