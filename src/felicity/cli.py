@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .dsl import THEORY_NAMES, Scenario, parse_scenario
@@ -21,15 +21,6 @@ from .sexpr import ParseError
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    format: str = "table"
-    explain: bool = False
-    theories: tuple[str, ...] | None = None
-    bound: int | None = None
-    fail_fast: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,11 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain", parents=[common], help="print the derivation trace of one scenario"
     )
-    explain.add_argument("path")
+    explain.add_argument("paths", nargs=1, metavar="path")
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _config(args: argparse.Namespace) -> None:
+    """Validate --theories and --bound, and split --theories into a tuple."""
     theories = None
     if args.theories:
         theories = tuple(t.strip() for t in args.theories.split(",") if t.strip())
@@ -82,50 +74,42 @@ def _config(args: argparse.Namespace) -> RunConfig:
             raise FelicityError("--theories needs at least one name")
     if args.bound is not None and args.bound < 1:
         raise FelicityError("--bound must be >= 1")
-    return RunConfig(
-        format=args.format,
-        explain=args.explain,
-        theories=theories,
-        bound=args.bound,
-        fail_fast=args.fail_fast,
-    )
+    args.theories = theories
 
 
-def _load(path: str, config: RunConfig) -> Scenario:
+def _load(path: str, args: argparse.Namespace) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FelicityError(f"{path}: {exc}") from None
     try:
-        scenario = parse_scenario(text, source=path, bound=config.bound)
+        scenario = parse_scenario(text, source=path, bound=args.bound)
     except ParseError as exc:
         raise FelicityError(f"{path}: {exc}") from None
-    if config.theories is not None:
-        scenario = dc_replace(scenario, enabled_theories=config.theories)
+    if args.theories is not None:
+        scenario = dc_replace(scenario, enabled_theories=args.theories)
     return scenario
 
 
-def cmd_run(paths: list[str], config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_run(args: argparse.Namespace) -> int:
     reports = []
-    for path in paths:
-        scenario = _load(path, config)
+    for path in args.paths:
+        scenario = _load(path, args)
         report = build_report(scenario.name, judge(scenario))
         reports.append(report)
     for i, report in enumerate(reports):
-        if i and config.format == "table":
-            print(file=out)
-        print(render_report(report, config.format), file=out)
-        if config.explain and config.format == "table":
-            print(render_traces(report), file=out)
+        if i and args.format == "table":
+            print()
+        print(render_report(report, args.format))
+        if args.explain and args.format == "table":
+            print(render_traces(report))
     return EXIT_OK
 
 
-def cmd_check(paths: list[str], config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_check(args: argparse.Namespace) -> int:
     mismatches = []
-    for path in paths:
-        scenario = _load(path, config)
+    for path in args.paths:
+        scenario = _load(path, args)
         if scenario.expect is None:
             raise FelicityError(f"{path}: scenario {scenario.name!r} has no (expect ...) clause")
         judgment = judge(scenario)
@@ -135,31 +119,18 @@ def cmd_check(paths: list[str], config: RunConfig, out=None) -> int:
         ]
         fired_note = ", ".join(fired) if fired else "none"
         if got == scenario.expect:
-            print(f"ok {scenario.name}: {got.value} (fired: {fired_note})", file=out)
+            print(f"ok {scenario.name}: {got.value} (fired: {fired_note})")
         else:
             mismatches.append(scenario.name)
             print(
                 f"MISMATCH {scenario.name}: expected {scenario.expect.value},"
-                f" got {got.value} (fired: {fired_note})",
-                file=out,
+                f" got {got.value} (fired: {fired_note})"
             )
-            if config.fail_fast:
+            if args.fail_fast:
                 break
     if mismatches:
-        print(f"{len(mismatches)} mismatch(es): {', '.join(mismatches)}", file=out)
+        print(f"{len(mismatches)} mismatch(es): {', '.join(mismatches)}")
         return EXIT_MISMATCH
-    return EXIT_OK
-
-
-def cmd_explain(path: str, config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    scenario = _load(path, config)
-    report = build_report(scenario.name, judge(scenario))
-    if config.format == "json":
-        print(render_report(report, "json"), file=out)
-        return EXIT_OK
-    print(render_report(report, "table"), file=out)
-    print(render_traces(report), file=out)
     return EXIT_OK
 
 
@@ -167,12 +138,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config(args)
-        if args.command == "run":
-            return cmd_run(args.paths, config)
+        _config(args)
         if args.command == "check":
-            return cmd_check(args.paths, config)
-        return cmd_explain(args.path, config)
+            return cmd_check(args)
+        if args.command == "explain":
+            args.explain = True  # explain FILE is run --explain FILE
+        return cmd_run(args)
     except FelicityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

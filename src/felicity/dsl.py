@@ -132,7 +132,10 @@ def _build_pexpr(node: SNode, preds: Mapping[str, PredicateSym]) -> PredExpr:
     )
 
 
-def _build_lf(node: SNode, preds: Mapping[str, PredicateSym]) -> LogicalForm:
+def _build_lf(
+    node: SNode, preds: Mapping[str, PredicateSym], scales: ScaleRegistry | None = None
+) -> LogicalForm:
+    """Build a form; with ``scales``, reject an ``only`` over an unscaled quantifier."""
     if isinstance(node, SAtom):
         raise ParseError(
             f"expected a logical form, got bare atom {node.text!r}", node.line, node.col
@@ -153,23 +156,27 @@ def _build_lf(node: SNode, preds: Mapping[str, PredicateSym]) -> LogicalForm:
     if head.text == "only":
         if len(node.items) != 2:
             raise ParseError("only takes exactly one clause", node.line, node.col)
-        body = _build_lf(node.items[1], preds)
         try:
-            return Only(body)
+            only = Only(_build_lf(node.items[1], preds, scales))
         except WellFormednessError as exc:
             raise ParseError(str(exc), node.line, node.col) from None
+        q = only.body.quantifier
+        if scales is not None and scales.scale_for(q) is None:
+            msg = f"only requires {q.value!r} to belong to a declared scale"
+            raise ParseError(msg, node.line, node.col)
+        return only
     if head.text == "not":
         if len(node.items) != 2:
             raise ParseError("not takes exactly one form", node.line, node.col)
-        return NotLF(_build_lf(node.items[1], preds))
+        return NotLF(_build_lf(node.items[1], preds, scales))
     if head.text == "and":
         if len(node.items) != 3:
             raise ParseError("and takes exactly two forms", node.line, node.col)
-        return AndLF(_build_lf(node.items[1], preds), _build_lf(node.items[2], preds))
+        return AndLF(*(_build_lf(item, preds, scales) for item in node.items[1:]))
     if head.text == "or":
         if len(node.items) < 2:
             raise ParseError("or takes at least one form", node.line, node.col)
-        return OrLF(tuple(_build_lf(item, preds) for item in node.items[1:]))
+        return OrLF(tuple(_build_lf(item, preds, scales) for item in node.items[1:]))
     raise ParseError(f"unknown quantifier or form {head.text!r}", head.line, head.col)
 
 
@@ -371,7 +378,7 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
         if len(node.items) != 2:
             raise ParseError("(individuals N) takes one number", node.line, node.col)
         atom = _expect_atom(node.items[1], "a positive integer")
-        if not atom.text.isdigit() or int(atom.text) < 1:
+        if not (atom.text.isascii() and atom.text.isdigit()) or int(atom.text) < 1:
             raise ParseError(
                 f"individuals must be a positive integer, got {atom.text!r}",
                 atom.line,
@@ -394,7 +401,7 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
     def lf_list(section_name: str) -> tuple[LogicalForm, ...]:
         if section_name not in sections:
             return ()
-        return tuple(_build_lf(item, preds) for item in sections[section_name].items[1:])
+        return tuple(_build_lf(item, preds, scales) for item in sections[section_name].items[1:])
 
     common_knowledge = lf_list("common-knowledge")
     discourse = lf_list("discourse")
@@ -404,7 +411,7 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
     target_node = sections["target"]
     if len(target_node.items) != 2:
         raise ParseError("(target LF) takes exactly one form", target_node.line, target_node.col)
-    target = _build_lf(target_node.items[1], preds)
+    target = _build_lf(target_node.items[1], preds, scales)
 
     continuations = lf_list("continuations")
 

@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from .scales import ScaleRegistry
 
 DEFAULT_BOUND = 4
-DEFAULT_BUDGET_BITS = 24
+BUDGET_BITS = 24
 
 STATIVE = "stative"
 EVENTIVE = "eventive"
@@ -448,13 +448,13 @@ class Model:
         return f"Model(universe={list(self.universe)}, {exts})"
 
 
-def check_budget(bound: int, n_preds: int, budget_bits: int = DEFAULT_BUDGET_BITS):
-    """Reject a model space of more than ``2**budget_bits`` labeled models
-    of the largest size, i.e. ``bound * n_preds > budget_bits``."""
-    if bound * n_preds > budget_bits:
+def check_budget(bound: int, n_preds: int):
+    """Reject a model space of more than ``2**BUDGET_BITS`` labeled models of
+    the largest size, i.e. ``bound * n_preds > BUDGET_BITS``; the 24-bit budget is fixed."""
+    if bound * n_preds > BUDGET_BITS:
         raise ResourceBudgetError(
             f"bound {bound} x {n_preds} predicates exceeds the"
-            f" {budget_bits}-bit enumeration budget"
+            f" {BUDGET_BITS}-bit enumeration budget"
         )
 
 
@@ -464,11 +464,7 @@ def _universe_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-def enumerate_models(
-    preds: Sequence[PredicateSym],
-    max_universe: int,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-) -> Iterator[Model]:
+def enumerate_models(preds: Sequence[PredicateSym], max_universe: int) -> Iterator[Model]:
     """Yield every model with universe size 0..max_universe.
 
     For a fixed size n and k predicates there are 2**(n*k) models. The
@@ -479,7 +475,7 @@ def enumerate_models(
     if max_universe < 0:
         raise ValueError("max_universe must be >= 0")
     _check_names(preds)
-    check_budget(max_universe, len(preds), budget_bits)
+    check_budget(max_universe, len(preds))
     names = [p.name for p in preds]
     for n in range(max_universe + 1):
         universe = _universe_labels(n)
@@ -649,11 +645,6 @@ def _check_names(preds: Sequence[PredicateSym]):
         raise WellFormednessError(f"duplicate predicate names in {names}")
 
 
-def _all_classes(preds: tuple[PredicateSym, ...], bound: int) -> int:
-    _check_names(preds)
-    return _classes(len(preds), bound)[0]
-
-
 def _cells(p: PredExpr, preds: tuple[PredicateSym, ...]) -> int:
     """The cells whose individuals satisfy p, as a bitmask over the cells."""
     cells = 1 << len(preds)
@@ -784,12 +775,7 @@ def _truth(
 # ---------------------------------------------------------------------------
 
 
-def _check_sequents(
-    lfs: tuple[LogicalForm, ...],
-    preds: tuple[PredicateSym, ...],
-    bound: int,
-    budget_bits: int,
-) -> None:
+def _check_sequents(lfs: tuple[LogicalForm, ...], preds: tuple[PredicateSym, ...], bound: int):
     if bound < 1:
         raise ValueError("bound must be >= 1")
     declared = {p.name for p in preds}
@@ -804,7 +790,8 @@ def _check_sequents(
             raise DeclarationError(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"
             )
-    check_budget(bound, len(preds), budget_bits)
+    check_budget(bound, len(preds))
+    _check_names(preds)
 
 
 def _ask(cached, *args) -> bool:
@@ -830,10 +817,9 @@ def _entails(
     preds: tuple[PredicateSym, ...],
     bound: int,
     scales: "ScaleRegistry | None",
-    budget_bits: int,
 ) -> bool:
-    _check_sequents(premises + (conclusion,), preds, bound, budget_bits)
-    models = _all_classes(preds, bound)
+    _check_sequents(premises + (conclusion,), preds, bound)
+    models = _classes(len(preds), bound)[0]
     for p in premises:
         models &= _truth(p, preds, bound, scales)
     return not (models & ~_truth(conclusion, preds, bound, scales))
@@ -845,10 +831,9 @@ def _consistent(
     preds: tuple[PredicateSym, ...],
     bound: int,
     scales: "ScaleRegistry | None",
-    budget_bits: int,
 ) -> bool:
-    _check_sequents(lfs, preds, bound, budget_bits)
-    models = _all_classes(preds, bound)
+    _check_sequents(lfs, preds, bound)
+    models = _classes(len(preds), bound)[0]
     for lf in lfs:
         models &= _truth(lf, preds, bound, scales)
     return models != 0
@@ -860,11 +845,10 @@ def entails(
     preds: Sequence[PredicateSym],
     bound: int = DEFAULT_BOUND,
     scales: "ScaleRegistry | None" = None,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> bool:
     """True iff no model of size <= bound satisfies all premises and
     falsifies the conclusion."""
-    return _ask(_entails, tuple(premises), conclusion, tuple(preds), bound, scales, budget_bits)
+    return _ask(_entails, tuple(premises), conclusion, tuple(preds), bound, scales)
 
 
 def consistent(
@@ -872,10 +856,9 @@ def consistent(
     preds: Sequence[PredicateSym],
     bound: int = DEFAULT_BOUND,
     scales: "ScaleRegistry | None" = None,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> bool:
     """True iff some model of size <= bound satisfies every member."""
-    return _ask(_consistent, tuple(lfs), tuple(preds), bound, scales, budget_bits)
+    return _ask(_consistent, tuple(lfs), tuple(preds), bound, scales)
 
 
 def entails_with_existential_import(
@@ -884,7 +867,6 @@ def entails_with_existential_import(
     preds: Sequence[PredicateSym],
     bound: int = DEFAULT_BOUND,
     scales: "ScaleRegistry | None" = None,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> bool:
     """Bounded entailment assuming every quantifier restrictor is nonempty.
 
@@ -893,7 +875,7 @@ def entails_with_existential_import(
     comparison between scale-mates goes through this variant.
     """
     existence = existence_premises((*premises, conclusion))
-    return entails((*premises, *existence), conclusion, preds, bound, scales, budget_bits)
+    return entails((*premises, *existence), conclusion, preds, bound, scales)
 
 
 # ---------------------------------------------------------------------------

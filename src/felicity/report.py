@@ -126,7 +126,8 @@ def render_report(report: Report, format: str = "table") -> str:
 
 
 def render_traces(report: Report) -> str:
-    """Human-readable step listing for every theory, firing or not."""
+    """Human-readable step listing for every theory, firing or not. The
+    continuation verdicts are in the table that ``render_report`` prints."""
     lines = []
     fired_any = False
     for row in report.theories:
@@ -136,9 +137,6 @@ def render_traces(report: Report) -> str:
         lines.append(f"{row.name}: {row.verdict} -- {status}")
         for s in row.trace:
             lines.append(f"  {s.rule}: {', '.join(s.inputs)} => {s.output}")
-    if report.continuations:
-        for form, verdict in report.continuations:
-            lines.append(f"continuation {form} -> {verdict}")
     if not fired_any:
         lines.append("no mechanism fired")
     return "\n".join(lines)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from felicity.cli import main
 from felicity.sexpr import MAX_DEPTH
 
@@ -120,6 +122,41 @@ class TestRun:
         assert code == 2
         assert err.startswith(f"error: {repro}: line 5, col 3: continuations need a target")
         assert "contradicts common knowledge and discourse at bound 1" in err
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_in_individuals_is_a_parse_error(self, capsys, tmp_path, digit):
+        bad = tmp_path / "digit.sexp"
+        bad.write_text(
+            f"(scenario x (individuals {digit}) (predicates (a :stative)) (target (some a a)))",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert err == (
+            f"error: {bad}: line 1, col 26: individuals must be a positive integer,"
+            f" got {digit!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "sections, q",
+        [
+            ("(scales (some all)) (target (only (most a b)))", "most"),
+            ("(target (only (qi a b)))", "qi"),
+            ("(common-knowledge (only (qi a b))) (target (some a b))", "qi"),
+        ],
+    )
+    def test_only_over_a_quantifier_on_no_scale_names_file_and_position(
+        self, capsys, tmp_path, sections, q
+    ):
+        head = "(scenario x (predicates (a :stative) (b :stative)) "
+        bad = tmp_path / "only.sexp"
+        bad.write_text(head + sections + ")")
+        col = len(head) + sections.index("(only") + 1
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert err == (
+            f"error: {bad}: line 1, col {col}: only requires {q!r} to belong to a declared scale\n"
+        )
 
     def test_run_with_explain_appends_traces(self, capsys):
         code, out, _ = run_cli(
@@ -264,3 +301,19 @@ class TestExplain:
         )
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("fixture", ALL_FIXTURES, ids=lambda p: Path(p).stem)
+    def test_explain_is_run_explain(self, capsys, fixture, fmt):
+        explained = run_cli(capsys, "explain", "--format", fmt, fixture)
+        assert explained == run_cli(capsys, "run", "--explain", "--format", fmt, fixture)
+
+    def test_continuations_are_listed_once(self, capsys):
+        code, out, _ = run_cli(capsys, "explain", str(FIXTURES / "magri-13.sexp"))
+        assert code == 0
+        lines = out.splitlines()
+        for line in (
+            "continuation (all italian warm) -> felicitous",
+            "continuation (not (all italian warm)) -> odd",
+        ):
+            assert lines.count(line) == 1
