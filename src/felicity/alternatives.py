@@ -52,12 +52,16 @@ class Tag(Enum):
 
 @dataclass(frozen=True)
 class Alternative:
+    """An alternative form with its strength relative to the origin."""
+
     form: LogicalForm
     tag: Tag
 
 
 @dataclass(frozen=True)
 class AlternativeSet:
+    """The tagged alternatives of one origin form, the origin excluded."""
+
     origin: LogicalForm
     members: tuple[Alternative, ...]
 
@@ -103,6 +107,8 @@ class PresupVariant(Enum):
 
 @dataclass(frozen=True)
 class Presup:
+    """A presupposition and the variant that produced it."""
+
     content: LogicalForm
     variant: PresupVariant
 

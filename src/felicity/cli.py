@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args: argparse.Namespace) -> None:
     """Validate --theories and --bound, and split --theories into a tuple."""
     theories = None
-    if args.theories:
+    if args.theories is not None:
         theories = tuple(t.strip() for t in args.theories.split(",") if t.strip())
         unknown = [t for t in theories if t not in THEORY_NAMES]
         if unknown:

@@ -248,6 +248,8 @@ def render_lf(lf: LogicalForm) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario file: declarations, context, target and expectation."""
+
     name: str
     preds: tuple[PredicateSym, ...]
     target: LogicalForm
@@ -378,13 +380,18 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
         if len(node.items) != 2:
             raise ParseError("(individuals N) takes one number", node.line, node.col)
         atom = _expect_atom(node.items[1], "a positive integer")
-        if not (atom.text.isascii() and atom.text.isdigit()) or int(atom.text) < 1:
+        if not (atom.text.isascii() and atom.text.isdigit()) or not atom.text.strip("0"):
             raise ParseError(
                 f"individuals must be a positive integer, got {atom.text!r}",
                 atom.line,
                 atom.col,
             )
-        max_universe = int(atom.text)
+        try:
+            max_universe = int(atom.text)
+        except ValueError:  # past the interpreter's limit on digits to convert
+            raise ParseError(
+                f"individuals has too many digits ({len(atom.text)})", atom.line, atom.col
+            ) from None
     if bound is not None:
         max_universe = bound
     try:

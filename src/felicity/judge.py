@@ -96,6 +96,8 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class TheoryVerdict:
+    """One theory's verdict, the mechanism that fired (if any) and its trace."""
+
     theory: str
     verdict: Verdict
     mechanism: Mechanism
@@ -112,6 +114,8 @@ class TheoryVerdict:
 
 @dataclass(frozen=True)
 class Judgment:
+    """The verdicts of all enabled theories on one target, and their aggregate."""
+
     reading: Reading
     theories: tuple[TheoryVerdict, ...]
     aggregate: Verdict

@@ -28,9 +28,9 @@ miss, and an invalid one raises the same error on every call.
 
 from __future__ import annotations
 
-import string
+import inspect
 import weakref
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import product
@@ -102,9 +102,15 @@ class _Interning(type):
             if value is not None:
                 return value
         # Keywords and first calls take this path: build first, then look
-        # up by the stored fields.
+        # up by the stored fields. These are the call's arguments when it
+        # passed every field and no __post_init__ could rebind one.
         value = super().__call__(*args, **kwargs)
-        key = (cls, *value._fields())
+        if call is not None and len(args) == len(cls.__match_args__) and (
+            cls.__post_init__ is Interned.__post_init__
+        ):
+            key = call
+        else:
+            key = (cls, *value._fields())
         ref = _INTERNED.get(key)
         live = ref() if ref is not None else None
         if live is None:
@@ -119,13 +125,47 @@ class _Interning(type):
 
 
 class Interned(metaclass=_Interning):
-    """Base of frozen dataclasses whose equal values share one object.
+    """Base of immutable dataclasses whose equal values share one object.
+
+    Subclasses are declared ``@dataclass(init=False, eq=False, repr=False)``
+    and get ``__init__``, ``__repr__`` and frozen-instance behaviour from
+    here, written once instead of generated per class: generating them is
+    most of the cost of creating a class, which every process pays at
+    start-up, while a node's ``__init__`` runs only when the intern table
+    has no equal value. ``__init__`` binds arguments as a dataclass would
+    (positional, keyword, field defaults), stores them and calls
+    ``__post_init__``, which may validate and may rebind fields through
+    ``object.__setattr__``. The engine's other records
+    stay ``frozen=True``: they are built on every judgment, warm or cold,
+    where a generated ``__init__`` is the faster one.
 
     The hash is computed once, at construction. Equality stays structural,
     with identity as its fast path, so a duplicate (from a thread race, say)
-    is slower to compare but never wrong. Subclasses are declared with
-    ``@dataclass(frozen=True, eq=False)``.
+    is slower to compare but never wrong.
     """
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self), args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())
+        )
+        return f"{self.__class__.__qualname__}({fields})"
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -146,7 +186,29 @@ class Interned(metaclass=_Interning):
         return self.__class__, self._fields()
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=None)
+def _signature(cls: type) -> inspect.Signature:
+    """The signature of the ``__init__`` a dataclass would generate for cls."""
+    kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    return inspect.Signature([
+        inspect.Parameter(name, kind, default=empty if f.default is MISSING else f.default)
+        for name, f in cls.__dataclass_fields__.items()
+    ])
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The field values of ``cls(*args, **kwargs)``, bound as a dataclass
+    ``__init__`` binds them, with a TypeError for extra, unknown, repeated or
+    missing arguments."""
+    try:
+        bound = _signature(cls).bind(*args, **kwargs)
+    except TypeError as exc:
+        raise TypeError(f"{cls.__qualname__}(): {exc}") from None
+    bound.apply_defaults()
+    return bound.args
+
+
+@dataclass(init=False, eq=False, repr=False)
 class PredicateSym(Interned):
     """A unary predicate symbol with a fixed temporal class."""
 
@@ -161,12 +223,14 @@ class PredicateSym(Interned):
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class Atom(Interned):
+    """A predicate symbol used as a predicate expression."""
+
     pred: PredicateSym
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class TruePred(Interned):
     """The trivially true predicate (denotes the whole universe)."""
 
@@ -174,12 +238,14 @@ class TruePred(Interned):
 TRUE = TruePred()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class NotP(Interned):
+    """Predicate negation; denotes the complement in the universe."""
+
     body: "PredExpr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class AndConc(Interned):
     """Concurrent predicate conjunction; denotes set intersection."""
 
@@ -187,7 +253,7 @@ class AndConc(Interned):
     right: "PredExpr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class AndSeq(Interned):
     """Sequenced predicate conjunction: events in order, not an intersection.
 
@@ -232,14 +298,16 @@ NO = Quantifier.NO
 QI = Quantifier.QI
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class Quant(Interned):
+    """A quantified clause: quantifier, restrictor symbol and scope."""
+
     quantifier: Quantifier
     restrictor: PredicateSym
     scope: PredExpr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class Only(Interned):
     """Overt exhaustivity marker; applies only to a quantified clause."""
 
@@ -250,19 +318,25 @@ class Only(Interned):
             raise WellFormednessError("only applies to a quantified clause")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class NotLF(Interned):
+    """Clausal negation."""
+
     body: "LogicalForm"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class AndLF(Interned):
+    """Clausal conjunction."""
+
     left: "LogicalForm"
     right: "LogicalForm"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class OrLF(Interned):
+    """Clausal disjunction of one or more forms."""
+
     disjuncts: tuple["LogicalForm", ...]
 
     def __post_init__(self):
@@ -271,14 +345,14 @@ class OrLF(Interned):
             raise WellFormednessError("or requires at least one disjunct")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class Know(Interned):
     """Certainty operator over the context's worlds; opaque to plain eval."""
 
     body: "LogicalForm"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class Poss(Interned):
     """Possibility operator, the dual of Know."""
 
@@ -460,7 +534,7 @@ def check_budget(bound: int, n_preds: int):
 
 def _universe_labels(n: int) -> tuple[str, ...]:
     if n <= 26:
-        return tuple(string.ascii_lowercase[:n])
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     return tuple(f"x{i + 1}" for i in range(n))
 
 

@@ -10,7 +10,6 @@ The JSON layout is stable and round-trips losslessly:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .dsl import render_lf
@@ -19,6 +18,8 @@ from .judge import Judgment, Mechanism, TraceStep
 
 @dataclass(frozen=True)
 class TheoryRow:
+    """One theory's line of a report, as strings."""
+
     name: str
     verdict: str
     mechanism: str
@@ -27,6 +28,8 @@ class TheoryRow:
 
 @dataclass(frozen=True)
 class Report:
+    """A judgment as strings: what the table and the JSON show."""
+
     scenario: str
     reading: str
     aggregate: str
@@ -121,6 +124,8 @@ def render_report(report: Report, format: str = "table") -> str:
     if format == "table":
         return _table(report)
     if format == "json":
+        import json  # here, not at the top: start-up does not need it
+
         return json.dumps(report_to_dict(report))
     raise ValueError(f"unknown report format {format!r}")
 

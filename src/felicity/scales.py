@@ -53,7 +53,7 @@ def _verify_strength_order(members: tuple[Quantifier, ...]):
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class Scale(Interned):
     """A scale, interned like the forms. Every construction validates; the
     strength order of a member sequence is verified once per process."""
@@ -97,8 +97,10 @@ class Scale(Interned):
         return tuple(m for m in self.members if m is not q and self.rank_of(m) <= cap)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(init=False, eq=False, repr=False)
 class ScaleRegistry(Interned):
+    """The scales in force; a quantifier's scale is the first that holds it."""
+
     scales: tuple[Scale, ...]
 
     def __post_init__(self):

@@ -52,6 +52,8 @@ class _Node:
 
 @dataclass(slots=True)
 class SAtom(_Node):
+    """An atom token."""
+
     text: str
     index: int  # of the token among all tokens of the source text
     source: str = field(repr=False, compare=False)  # the text read
@@ -59,6 +61,8 @@ class SAtom(_Node):
 
 @dataclass(slots=True)
 class SList(_Node):
+    """A parenthesised list of nodes."""
+
     items: tuple["SNode", ...]
     index: int  # of the opening parenthesis
     source: str = field(repr=False, compare=False)  # the text read

@@ -137,6 +137,15 @@ class TestRun:
             f" got {digit!r}\n"
         )
 
+    def test_individuals_past_the_int_digit_limit_is_a_parse_error(self, capsys, tmp_path):
+        huge = tmp_path / "huge.sexp"
+        huge.write_text(
+            f"(scenario x (individuals {'9' * 5000}) (predicates (a :stative)) (target (some a a)))"
+        )
+        code, _, err = run_cli(capsys, "run", str(huge))
+        assert code == 2
+        assert err == f"error: {huge}: line 1, col 26: individuals has too many digits (5000)\n"
+
     @pytest.mark.parametrize(
         "sections, q",
         [
@@ -218,6 +227,14 @@ class TestCheck:
         )
         assert code == 2
         assert "gricean" in err
+
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_theory_selection_is_rejected(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "run", "--theories", value, str(FIXTURES / "magri-4.sexp")
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --theories needs at least one name\n"
 
     def test_fail_fast_stops_after_first_mismatch(self, capsys, tmp_path):
         w1 = tmp_path / "w1.sexp"

@@ -38,9 +38,12 @@ from felicity import (
     Quant,
     Reading,
     ResourceBudgetError,
+    Scale,
     ScaleError,
+    ScaleRegistry,
     SOME,
     TRUE,
+    TruePred,
     WellFormednessError,
     analyze_reading,
     consistent,
@@ -750,6 +753,109 @@ class TestInterning:
         for forms in results:
             assert forms == results[0]
             assert [hash(f) for f in forms] == [hash(f) for f in results[0]]
+
+
+def _interned_classes(cls=logic.Interned):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _interned_classes(sub)
+
+
+_CLAUSE = some(ITALIAN, Atom(WARM))
+_NODES = [
+    WARM, Atom(WARM), TRUE, NotP(Atom(WARM)), AndConc(Atom(WARM), TRUE),
+    AndSeq(Atom(WON), Atom(LEFT)), _CLAUSE, Only(_CLAUSE), NotLF(_CLAUSE),
+    AndLF(_CLAUSE, _CLAUSE), OrLF((_CLAUSE, _CLAUSE)), Know(_CLAUSE), Poss(_CLAUSE),
+    Scale((SOME, ALL)), ScaleRegistry((Scale((SOME, ALL)),)),
+]
+_NODE_IDS = [type(node).__name__ for node in _NODES]
+
+
+class TestInternedContract:
+    """What ``Interned`` gives every node class in place of the
+    ``__init__``, ``__repr__`` and frozen ``__setattr__`` that a
+    ``@dataclass(frozen=True)`` would generate for it."""
+
+    def test_the_sample_covers_every_node_class(self):
+        assert sorted(_NODE_IDS) == sorted(c.__name__ for c in _interned_classes())
+        assert len(_NODES) == 15
+
+    @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, node):
+        for name in [f.name for f in dataclasses.fields(node)] + ["other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert node == type(node)(*node._fields())
+
+    @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
+    def test_repr_has_the_dataclass_format(self, node):
+        fields = ", ".join(f"{f.name}={getattr(node, f.name)!r}" for f in dataclasses.fields(node))
+        assert repr(node) == f"{type(node).__qualname__}({fields})"
+
+    def test_repr_of_a_nested_form(self):
+        assert repr(Only(some(ITALIAN, TRUE))) == (
+            "Only(body=Quant(quantifier=<Quantifier.SOME: 'some'>,"
+            " restrictor=PredicateSym(name='italian', temporal_class='stative'),"
+            " scope=TruePred()))"
+        )
+
+    @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
+    def test_the_dataclass_api_still_works(self, node):
+        assert dataclasses.is_dataclass(node)
+        assert tuple(f.name for f in dataclasses.fields(node)) == type(node).__match_args__
+        assert dataclasses.replace(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+        # the intern table holds it under the key of its fields
+        assert logic._INTERNED[(type(node), *node._fields())]() is node
+
+    def test_keywords_and_defaults_bind_as_a_dataclass_does(self):
+        assert PredicateSym("won", temporal_class="eventive") is WON
+        assert PredicateSym(name="warm") is WARM
+        assert PredicateSym("warm").temporal_class == "stative"
+        clause = Quant(SOME, ITALIAN, Atom(WARM))
+        assert Quant(scope=Atom(WARM), quantifier=SOME, restrictor=ITALIAN) is clause
+        assert Quant(SOME, ITALIAN, scope=Atom(WARM)) is clause
+        assert "temporal_class" in vars(PredicateSym("fresh"))  # a default is stored too
+        members = (SOME, MOST, ALL)
+        assert Scale(members).ranks == (1, 1, 1)
+        assert Scale(members) is Scale(members, (1, 1, 1))
+        assert Scale(members, ()) is Scale(members)  # __post_init__ rebinds the ranks
+        assert dataclasses.replace(clause, quantifier=ALL) is all_(ITALIAN, Atom(WARM))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Atom(), "Atom\\(\\): missing a required argument: 'pred'"),
+            (lambda: Quant(SOME, ITALIAN), "missing a required argument: 'scope'"),
+            (lambda: PredicateSym(temporal_class="stative"), "missing a required argument: 'name'"),
+            (lambda: PredicateSym("x", kind="stative"), "unexpected keyword argument 'kind'"),
+            (lambda: Atom(WARM, colour="red"), "unexpected keyword argument 'colour'"),
+            (lambda: Atom(WARM, pred=WARM), "multiple values for argument 'pred'"),
+            (lambda: Atom(WARM, WARM), "too many positional arguments"),
+            (lambda: TruePred(WARM), "too many positional arguments"),
+        ],
+    )
+    def test_bad_arguments_raise_type_error(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+    def test_a_wrapped_init_sees_each_new_scale_and_no_table_hit(self, monkeypatch):
+        # as perfbench/tracer.py counts scale builds
+        built = []
+        init = Scale.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scale, "__init__", counted)
+        first = Scale((SOME, ALL), (3, 5))  # ranks no other test uses
+        assert Scale((SOME, ALL), (3, 5)) is first
+        second = Scale((SOME, MOST), (3, 5))
+        assert Scale((SOME, MOST), (3, 5)) is second
+        assert built == [((SOME, ALL), (3, 5)), ((SOME, MOST), (3, 5))]
 
 
 def _epistemic_forms(preds, depth):
