@@ -18,16 +18,19 @@ classes; entailment and consistency are then a few bitwise operations.
 reference semantics.
 
 Form nodes are hash-consed: building a node equal to a live one returns
-that one, and each node hashes once, from its children's cached hashes.
-The oracle's caches therefore find a form in O(1) instead of walking it.
-Each public query (``entails``, ``consistent``,
-``entails_with_existential_import``) looks its whole sequent up in one
+that one. Equal nodes are therefore identical, and nodes hash and compare
+by identity, so the oracle's caches find a form in O(1) instead of walking
+it. ``entails`` and ``consistent`` look their whole sequent up in one
 cache, so a repeated sequent costs one lookup; it is validated only on a
 miss, and an invalid one raises the same error on every call.
+``entails_with_existential_import`` takes two lookups: the existence
+premises of its forms come from a cache keyed by the form tuple, and the
+extended sequent then goes to ``entails``.
 """
 
 from __future__ import annotations
 
+import _thread
 import inspect
 import weakref
 from dataclasses import MISSING, FrozenInstanceError, dataclass
@@ -35,6 +38,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import product
 from math import comb
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
@@ -77,14 +81,21 @@ class WellFormednessError(FelicityError):
 # ---------------------------------------------------------------------------
 
 # Live interned values: (class, *field values) -> weak reference to the
-# value. An entry goes when its value is no longer referenced.
+# value. An entry goes when its value is no longer referenced. Reads take
+# no lock; every write, and the lookup that decides it, holds _TABLE_LOCK,
+# so the table never holds two live equal values. The lock is re-entrant:
+# a weak-reference callback can run in the thread that holds it.
 _INTERNED: dict[tuple, weakref.ref] = {}
+_TABLE_LOCK = _thread.RLock()
 
 
-def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED):
-    # The table is bound as a default so that it outlives module teardown.
-    if table.get(key) is ref:
-        table.pop(key, None)
+def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED, lock=_TABLE_LOCK):
+    # The table and lock are bound as defaults so that they outlive module
+    # teardown. The test and the removal are one step under the lock: an
+    # entry another thread has just replaced stays.
+    with lock:
+        if table.get(key) is ref:
+            del table[key]
 
 
 class _Interning(type):
@@ -111,21 +122,34 @@ class _Interning(type):
             key = call
         else:
             key = (cls, *value._fields())
-        ref = _INTERNED.get(key)
-        live = ref() if ref is not None else None
-        if live is None:
-            live = value
-            object.__setattr__(value, "_hash", hash(key))
-            _INTERNED[key] = weakref.ref(value, partial(_forget, key))
-        if call is not None and call != key:
-            # Omitted defaults, or arguments that __post_init__ normalizes:
-            # keep this call's key too, so that a repeat is a table hit.
-            _INTERNED[call] = weakref.ref(live, partial(_forget, call))
+        with _TABLE_LOCK:
+            ref = _INTERNED.get(key)
+            live = ref() if ref is not None else None
+            if live is None:
+                live = value
+                _INTERNED[key] = weakref.ref(value, partial(_forget, key))
+            if call is not None and call != key:
+                # Omitted defaults, or arguments that __post_init__
+                # normalizes: keep this call's key too, so that a repeat is
+                # a table hit.
+                _INTERNED[call] = weakref.ref(live, partial(_forget, call))
         return live
 
 
 class Interned(metaclass=_Interning):
     """Base of immutable dataclasses whose equal values share one object.
+
+    Equality is identity, and so is the hash: ``object``'s own slots, with
+    no Python-level ``__eq__`` or ``__hash__``. That is sound because two
+    live values with equal fields are always one object. Every supported
+    way to make a value goes through the intern table: a call of the class,
+    and so ``dataclasses.replace``, and pickling and ``copy``/``deepcopy``,
+    which rebuild through the constructor (``__reduce__``). The table
+    itself is race-free: the lookup that finds no live value and the insert
+    that follows happen under one lock, so threads that build the same new
+    value concurrently all get one object back. ``object.__new__`` on a node
+    class bypasses the table; it is not a supported constructor, and a
+    value made that way equals nothing but itself.
 
     Subclasses are declared ``@dataclass(init=False, eq=False, repr=False)``
     and get ``__init__``, ``__repr__`` and frozen-instance behaviour from
@@ -138,10 +162,6 @@ class Interned(metaclass=_Interning):
     ``object.__setattr__``. The engine's other records
     stay ``frozen=True``: they are built on every judgment, warm or cold,
     where a generated ``__init__`` is the faster one.
-
-    The hash is computed once, at construction. Equality stays structural,
-    with identity as its fast path, so a duplicate (from a thread race, say)
-    is slower to compare but never wrong.
     """
 
     def __init__(self, *args, **kwargs):
@@ -168,22 +188,28 @@ class Interned(metaclass=_Interning):
         return f"{self.__class__.__qualname__}({fields})"
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
+        """The field values, in declaration order. The first call on a
+        class installs that class's own getter, which later calls use."""
+        cls = type(self)
+        cls._fields = _field_getter(cls.__match_args__)
+        return cls._fields(self)
 
     def __reduce__(self):
-        # Rebuild through the constructor: string hashes are salted per
-        # process, so a cached hash must not travel to another one.
+        # Rebuild through the constructor, so that the copy is the live
+        # interned value and not a duplicate of it.
         return self.__class__, self._fields()
+
+
+def _field_getter(names: tuple[str, ...]):
+    """A method returning the tuple of the named fields, without the
+    generator a generic loop over the names would run."""
+    if not names:
+        return lambda self: ()
+    if len(names) == 1:
+        get_one = attrgetter(names[0])
+        return lambda self: (get_one(self),)
+    get_all = attrgetter(*names)  # a tuple for two or more names
+    return lambda self: get_all(self)
 
 
 @lru_cache(maxsize=None)
@@ -284,6 +310,10 @@ class Quantifier(Enum):
     MOST = "most"
     NO = "no"
     QI = "qi"
+
+    # Members are singletons, so identity hashing is exact, and it runs in
+    # C where Enum's own __hash__ (the hash of the name) is Python code.
+    __hash__ = object.__hash__
 
     @property
     def complexity_rank(self) -> int:
@@ -432,7 +462,13 @@ def lf_predicates(lf: LogicalForm) -> tuple[PredicateSym, ...]:
 
 def existence_premises(lfs: Iterable[LogicalForm]) -> tuple[LogicalForm, ...]:
     """``(some r true)`` for every quantifier restrictor r anywhere in the
-    forms, one per name, in name order: the existential import of lfs."""
+    forms, one per name, in name order: the existential import of lfs.
+    Built once per tuple of forms, then looked up."""
+    return _ask(_existence_premises, tuple(lfs))
+
+
+@lru_cache(maxsize=4096)
+def _existence_premises(lfs: tuple[LogicalForm, ...]) -> tuple[LogicalForm, ...]:
     restrictors: dict[str, PredicateSym] = {}
     for lf in lfs:
         for r in _form_facts(lf).restrictors:
@@ -868,9 +904,9 @@ def _check_sequents(lfs: tuple[LogicalForm, ...], preds: tuple[PredicateSym, ...
     _check_names(preds)
 
 
-def _ask(cached, *args) -> bool:
-    """Answer a query from ``cached``, an oracle cache keyed by all of its
-    arguments that validates the sequent only on a miss. An invalid query
+def _ask(cached, *args):
+    """Answer a query from ``cached``, a cache keyed by all of its
+    arguments that validates them only on a miss. An invalid query
     is never cached, so it raises afresh every time. A query with an
     unhashable argument (a list in form position, say) is answered
     uncached, so that validation names the culprit."""

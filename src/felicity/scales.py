@@ -67,7 +67,8 @@ class Scale(Interned):
         if not members:
             raise ScaleError("a scale needs at least one member")
         if len(set(members)) != len(members):
-            raise ScaleError(f"duplicate members in scale {members}")
+            listed = " ".join(q.value for q in members)
+            raise ScaleError(f"duplicate members in scale ({listed})")
         ranks = tuple(self.ranks) or tuple(q.complexity_rank for q in members)
         if len(ranks) != len(members):
             raise ScaleError("one complexity rank per scale member required")

@@ -146,6 +146,15 @@ class TestRun:
         assert code == 2
         assert err == f"error: {huge}: line 1, col 26: individuals has too many digits (5000)\n"
 
+    def test_duplicate_scale_members_name_file_and_position(self, capsys, tmp_path):
+        head = "(scenario x (predicates (a :stative) (b :stative)) "
+        bad = tmp_path / "dup.sexp"
+        bad.write_text(head + "(scales (some some)) (target (some a b)))")
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        col = len(head) + len("(scales ") + 1
+        assert err == f"error: {bad}: line 1, col {col}: duplicate members in scale (some some)\n"
+
     @pytest.mark.parametrize(
         "sections, q",
         [

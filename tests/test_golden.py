@@ -14,6 +14,9 @@ context at that bound.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,26 @@ def test_json_explain_matches_golden(capsys, fixture, bound):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / f"{fixture.stem}.bound{bound}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_output_does_not_depend_on_the_hash_seed(seed):
+    # Nodes hash by identity and strings by a per-process salt, so set and
+    # dict order may differ from run to run; the output must not.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "felicity.cli", "run", "--format", "json", "--explain",
+         "--bound", "3", *map(str, FIXTURES)],
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines(keepends=True)
+    assert len(lines) == len(FIXTURES)
+    for fixture, line in zip(FIXTURES, lines):
+        assert line == (DATA / f"{fixture.stem}.bound3.json").read_text(encoding="utf-8"), fixture
 
 
 def _replayed_rules(fixture: Path, bound: int) -> set[str]:

@@ -36,6 +36,7 @@ from felicity import (
     PredicateSym,
     QI,
     Quant,
+    Quantifier,
     Reading,
     ResourceBudgetError,
     Scale,
@@ -652,26 +653,40 @@ class TestInterning:
         assert hash(built) == hash(parse_lf(_MAGRI_4, ITALIAN_PREDS))
         assert PredicateSym("won", temporal_class="eventive") is WON
 
-    def test_pickle_deepcopy_and_replace_give_equal_forms(self):
+    def test_pickle_copy_deepcopy_and_replace_give_the_same_object(self):
         form = parse_lf(_MAGRI_4, ITALIAN_PREDS)
-        payload = pickle.dumps(form)
-        assert b"_hash" not in payload  # a salted hash must not cross processes
-        assert pickle.loads(payload) == form
-        assert copy.deepcopy(form) == form
-        assert dataclasses.replace(form.body, quantifier=ALL) == all_(
+        assert pickle.loads(pickle.dumps(form)) is form
+        assert copy.copy(form) is form
+        assert copy.deepcopy(form) is form
+        assert copy.deepcopy([form, (form.body,)]) == [form, (form.body,)]
+        assert dataclasses.replace(form.body, quantifier=ALL) is all_(
             ITALIAN, AndConc(Atom(WARM), Atom(BLOND))
         )
-        assert dataclasses.replace(form) == form
+        assert dataclasses.replace(form) is form
 
-    def test_a_duplicate_still_compares_equal(self):
+    def test_equality_and_hash_are_identity(self):
+        # equal live nodes are one object, so object's own slots decide
+        assert "__eq__" not in vars(logic.Interned)
+        assert "__hash__" not in vars(logic.Interned)
+        assert all(type(node).__hash__ is object.__hash__ for node in _NODES)
+        assert Quantifier.__hash__ is object.__hash__
         form = parse_lf(_MAGRI_4, ITALIAN_PREDS)
-        assert copy.copy(form) == form
-        # a duplicate that bypassed the intern table, as a thread race can make
+        assert not hasattr(form, "_hash")
+        assert hash(form) == object.__hash__(form)
+        # object.__new__ bypasses the table and is not a supported
+        # constructor: what it makes equals nothing but itself
         twin = object.__new__(Only)
-        twin.__dict__.update(form.__dict__)
-        assert twin is not form
-        assert twin == form and form == twin and hash(twin) == hash(form)
-        assert not twin != form
+        object.__setattr__(twin, "body", form.body)
+        assert twin != form and not twin == form and twin == twin
+
+    @settings(max_examples=200, deadline=None)
+    @given(_forms(_POOL, 2), _forms(_POOL, 2), st.booleans())
+    def test_independent_builds_are_one_object_iff_structurally_equal(self, form, other, same):
+        # one side parsed from text, the other built by constructors
+        built = _rebuild(form) if same else other
+        parsed = parse_lf(render_lf(form), _POOL)
+        assert (parsed is built) is _structurally_equal(form, built)
+        assert (parsed == built) is (parsed is built)
 
     @settings(max_examples=150, deadline=None)
     @given(_forms(_POOL, 2))
@@ -727,21 +742,32 @@ class TestInterning:
         assert runs == [(SOME, MOST)]
 
     def test_concurrent_builds_agree(self):
-        # threads race to build the same new forms; a lost race may leave a
-        # duplicate, which must still be equal and hash equal
+        # threads race to build the same new forms, round after round; as
+        # a round starts, the previous round's forms lose their last
+        # reference, so their weak-reference callbacks run while the other
+        # threads look up and insert the same keys
         texts = [f"(not (or (some italian warm) (most italian (not blond)) (no warm {i})))"
                  for i in ("italian", "blond", "warm")]
         preds = {p.name: p for p in ITALIAN_PREDS}
-        results: list = []
+        rounds, workers = 1000, 4
+        start = threading.Barrier(workers, timeout=60)
+        kept: dict[int, list] = {}
+        agreed: list[bool] = []
 
-        def build():
-            for _ in range(200):
-                results.append([parse_lf(t, preds) for t in texts])
+        def build(worker):
+            for r in range(rounds):
+                start.wait()
+                if worker == 0:
+                    kept.pop(r - 1, None)
+                forms = [parse_lf(t, preds) for t in texts]
+                first = kept.setdefault(r, forms)
+                agreed.append(all(a is b for a, b in zip(forms, first)))
+                del forms, first
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=build) for _ in range(4)]
+            threads = [threading.Thread(target=build, args=(w,)) for w in range(workers)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -749,10 +775,37 @@ class TestInterning:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(results) == 800
-        for forms in results:
-            assert forms == results[0]
-            assert [hash(f) for f in forms] == [hash(f) for f in results[0]]
+        assert len(agreed) == rounds * workers
+        assert all(agreed)
+        # the table holds each form, and it is the one a new parse returns
+        forms = [parse_lf(t, preds) for t in texts]
+        assert all(a is b for a, b in zip(forms, kept[rounds - 1]))
+        for form in forms:
+            assert logic._INTERNED[(type(form), *form._fields())]() is form
+
+
+def _rebuild(node):
+    """node built again bottom-up, every node through its constructor."""
+    if isinstance(node, tuple):
+        return tuple(_rebuild(x) for x in node)
+    if isinstance(node, logic.Interned):
+        return type(node)(*(_rebuild(getattr(node, f.name)) for f in dataclasses.fields(node)))
+    return node
+
+
+def _structurally_equal(a, b) -> bool:
+    """Equality of two trees decided by walking both, never by a node's ==."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (
+            isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+            and all(_structurally_equal(x, y) for x, y in zip(a, b))
+        )
+    if isinstance(a, logic.Interned) or isinstance(b, logic.Interned):
+        return type(a) is type(b) and all(
+            _structurally_equal(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+        )
+    return type(a) is type(b) and a == b
 
 
 def _interned_classes(cls=logic.Interned):
@@ -896,7 +949,7 @@ _ORACLES = {
 
 
 class TestFrontDoor:
-    """Each public oracle looks its whole query up in one cache and
+    """Each public oracle answers a repeated query from its caches and
     validates only on a miss; invalid queries are never cached."""
 
     @pytest.mark.parametrize("oracle", sorted(_ORACLES))
@@ -941,6 +994,17 @@ class TestFrontDoor:
             with pytest.raises(TypeError):
                 _ORACLES[oracle](*query)
             assert len(checks) == calls
+
+    def test_existence_premises_are_built_once_per_form_tuple(self):
+        a, b = PredicateSym("door_import_a"), PredicateSym("door_import_b")
+        forms = (some(b, Atom(a)), all_(a, Atom(b)))
+        built = logic.existence_premises(forms)
+        assert built == (some(a, TRUE), some(b, TRUE))
+        assert logic.existence_premises(forms) is built  # looked up, not rebuilt
+        assert logic.existence_premises(list(forms)) is built
+        assert logic.existence_premises(iter(forms)) is built
+        with pytest.raises(TypeError, match="^not a logical form: "):
+            logic.existence_premises([forms[0], [forms[1]]])
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_epistemic_forms(_POOL, 3), _scopes(_POOL, 3), st.sampled_from(_POOL)))

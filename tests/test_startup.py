@@ -2,7 +2,7 @@
 
 Every ``felicity`` process imports the package and builds the default
 registry before it judges anything. So start-up must not load modules it
-does not use, and the node classes must not carry the per-class methods a
+does not use (``json``, ``string``, ``threading``), and the node classes must not carry the per-class methods a
 ``@dataclass(frozen=True)`` generates, since ``Interned`` provides them once.
 """
 
@@ -18,8 +18,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs in a fresh interpreter; compares against the modules loaded before
-# the import, since site start-up may load some of its own.
+# Runs in a fresh interpreter without site (-S), which on some hosts
+# loads modules of its own (threading among them); compares against the
+# modules loaded before the import.
 _PROBE = """
 import sys
 before = set(sys.modules)
@@ -47,7 +48,7 @@ print(repr({"loaded": loaded, "classes": len(classes), "own": own}))
 def probe() -> dict:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-S", "-c", _PROBE],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -59,6 +60,12 @@ def probe() -> dict:
 def test_start_up_does_not_import_json_or_string(probe):
     assert "felicity.report" in probe["loaded"]
     assert not {"json", "string"} & set(probe["loaded"])
+
+
+def test_start_up_does_not_import_threading(probe):
+    # the intern table's lock comes from the builtin _thread
+    assert "felicity.logic" in probe["loaded"]
+    assert "threading" not in probe["loaded"]
 
 
 def test_node_classes_define_no_init_repr_or_setattr_of_their_own(probe):
