@@ -2,12 +2,13 @@
 
 Exit codes are a contract: 0 for successful evaluation (run) or a full
 expectation match (check), 1 for an expectation mismatch, 2 for usage,
-parse, or validation errors.
+parse, or validation errors, and for an output closed before the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -79,7 +80,8 @@ def _config(args: argparse.Namespace) -> None:
 
 def _load(path: str, args: argparse.Namespace) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write first.
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FelicityError(f"{path}: {exc}") from None
     try:
@@ -140,10 +142,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _config(args)
         if args.command == "check":
-            return cmd_check(args)
-        if args.command == "explain":
-            args.explain = True  # explain FILE is run --explain FILE
-        return cmd_run(args)
+            code = cmd_check(args)
+        else:
+            if args.command == "explain":
+                args.explain = True  # explain FILE is run --explain FILE
+            code = cmd_run(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of our output went away (`| head`): not an engine
+        # fault. Send what is still buffered to devnull, so the flush at
+        # exit does not fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except FelicityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

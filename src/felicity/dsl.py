@@ -64,7 +64,7 @@ from .logic import (
     consistent,
 )
 from .scales import Scale, ScaleRegistry, default_registry
-from .sexpr import ParseError, SAtom, SList, SNode, read_one
+from .sexpr import SNode, TokenError, read_one
 
 THEORY_NAMES = (
     "magri-blind",
@@ -83,101 +83,95 @@ class ScenarioError(FelicityError):
     """A scenario parsed but failed semantic validation."""
 
 
-def _expect_atom(node: SNode, what: str) -> SAtom:
-    if not isinstance(node, SAtom):
-        raise ParseError(f"expected {what}, got a list", node.line, node.col)
-    return node
+def _expect_atom(node: SNode, tokens: list[str], what: str) -> str:
+    if type(node) is not int:
+        raise TokenError(f"expected {what}, got a list", node)
+    return tokens[node]
 
 
-def _ident(node: SNode, what: str = "an identifier") -> str:
-    atom = _expect_atom(node, what)
-    if not _IDENT_RE.match(atom.text) or atom.text in _RESERVED:
-        raise ParseError(f"expected {what}, got {atom.text!r}", atom.line, atom.col)
-    return atom.text
+def _ident(node: SNode, tokens: list[str], what: str = "an identifier") -> str:
+    text = _expect_atom(node, tokens, what)
+    if not _IDENT_RE.match(text) or text in _RESERVED:
+        raise TokenError(f"expected {what}, got {text!r}", node)
+    return text
 
 
-def _lookup(preds: Mapping[str, PredicateSym], node: SNode) -> PredicateSym:
-    name = _ident(node, "a predicate name")
+def _lookup(node: SNode, tokens: list[str], preds: Mapping[str, PredicateSym]) -> PredicateSym:
+    name = _ident(node, tokens, "a predicate name")
     try:
         return preds[name]
     except KeyError:
-        raise ParseError(f"undeclared predicate {name!r}", node.line, node.col) from None
+        raise TokenError(f"undeclared predicate {name!r}", node) from None
 
 
-def _build_pexpr(node: SNode, preds: Mapping[str, PredicateSym]) -> PredExpr:
-    if isinstance(node, SAtom):
-        if node.text == "true":
+def _build_pexpr(node: SNode, tokens: list[str], preds: Mapping[str, PredicateSym]) -> PredExpr:
+    if type(node) is int:
+        if tokens[node] == "true":
             return TRUE
-        return Atom(_lookup(preds, node))
-    if not node.items:
-        raise ParseError("empty predicate expression", node.line, node.col)
-    head = _expect_atom(node.items[0], "a predicate operator")
-    if head.text == "not":
-        if len(node.items) != 2:
-            raise ParseError("not takes exactly one operand", node.line, node.col)
-        return NotP(_build_pexpr(node.items[1], preds))
-    if head.text in ("and-conc", "and-seq"):
-        if len(node.items) != 3:
-            raise ParseError(f"{head.text} takes exactly two operands", node.line, node.col)
-        left = _build_pexpr(node.items[1], preds)
-        right = _build_pexpr(node.items[2], preds)
-        if head.text == "and-conc":
+        return Atom(_lookup(node, tokens, preds))
+    if len(node) == 1:
+        raise TokenError("empty predicate expression", node)
+    head = _expect_atom(node[1], tokens, "a predicate operator")
+    if head == "not":
+        if len(node) != 3:
+            raise TokenError("not takes exactly one operand", node)
+        return NotP(_build_pexpr(node[2], tokens, preds))
+    if head in ("and-conc", "and-seq"):
+        if len(node) != 4:
+            raise TokenError(f"{head} takes exactly two operands", node)
+        left = _build_pexpr(node[2], tokens, preds)
+        right = _build_pexpr(node[3], tokens, preds)
+        if head == "and-conc":
             return AndConc(left, right)
         try:
             return AndSeq(left, right)
         except WellFormednessError as exc:
-            raise ParseError(str(exc), node.line, node.col) from None
-    raise ParseError(
-        f"unknown predicate operator {head.text!r}", head.line, head.col
-    )
+            raise TokenError(str(exc), node) from None
+    raise TokenError(f"unknown predicate operator {head!r}", node[1])
 
 
 def _build_lf(
-    node: SNode, preds: Mapping[str, PredicateSym], scales: ScaleRegistry | None = None
+    node: SNode,
+    tokens: list[str],
+    preds: Mapping[str, PredicateSym],
+    scales: ScaleRegistry | None = None,
 ) -> LogicalForm:
     """Build a form; with ``scales``, reject an ``only`` over an unscaled quantifier."""
-    if isinstance(node, SAtom):
-        raise ParseError(
-            f"expected a logical form, got bare atom {node.text!r}", node.line, node.col
-        )
-    if not node.items:
-        raise ParseError("empty logical form", node.line, node.col)
-    head = _expect_atom(node.items[0], "a form keyword or quantifier")
-    if head.text in _QUANTS:
-        if len(node.items) != 3:
-            raise ParseError(
-                f"a {head.text!r} clause takes a restrictor and a scope",
-                node.line,
-                node.col,
-            )
-        restrictor = _lookup(preds, node.items[1])
-        scope = _build_pexpr(node.items[2], preds)
-        return Quant(_QUANTS[head.text], restrictor, scope)
-    if head.text == "only":
-        if len(node.items) != 2:
-            raise ParseError("only takes exactly one clause", node.line, node.col)
+    if type(node) is int:
+        raise TokenError(f"expected a logical form, got bare atom {tokens[node]!r}", node)
+    if len(node) == 1:
+        raise TokenError("empty logical form", node)
+    head = _expect_atom(node[1], tokens, "a form keyword or quantifier")
+    if head in _QUANTS:
+        if len(node) != 4:
+            raise TokenError(f"a {head!r} clause takes a restrictor and a scope", node)
+        restrictor = _lookup(node[2], tokens, preds)
+        scope = _build_pexpr(node[3], tokens, preds)
+        return Quant(_QUANTS[head], restrictor, scope)
+    if head == "only":
+        if len(node) != 3:
+            raise TokenError("only takes exactly one clause", node)
         try:
-            only = Only(_build_lf(node.items[1], preds, scales))
+            only = Only(_build_lf(node[2], tokens, preds, scales))
         except WellFormednessError as exc:
-            raise ParseError(str(exc), node.line, node.col) from None
+            raise TokenError(str(exc), node) from None
         q = only.body.quantifier
         if scales is not None and scales.scale_for(q) is None:
-            msg = f"only requires {q.value!r} to belong to a declared scale"
-            raise ParseError(msg, node.line, node.col)
+            raise TokenError(f"only requires {q.value!r} to belong to a declared scale", node)
         return only
-    if head.text == "not":
-        if len(node.items) != 2:
-            raise ParseError("not takes exactly one form", node.line, node.col)
-        return NotLF(_build_lf(node.items[1], preds, scales))
-    if head.text == "and":
-        if len(node.items) != 3:
-            raise ParseError("and takes exactly two forms", node.line, node.col)
-        return AndLF(*(_build_lf(item, preds, scales) for item in node.items[1:]))
-    if head.text == "or":
-        if len(node.items) < 2:
-            raise ParseError("or takes at least one form", node.line, node.col)
-        return OrLF(tuple(_build_lf(item, preds, scales) for item in node.items[1:]))
-    raise ParseError(f"unknown quantifier or form {head.text!r}", head.line, head.col)
+    if head == "not":
+        if len(node) != 3:
+            raise TokenError("not takes exactly one form", node)
+        return NotLF(_build_lf(node[2], tokens, preds, scales))
+    if head == "and":
+        if len(node) != 4:
+            raise TokenError("and takes exactly two forms", node)
+        return AndLF(*(_build_lf(item, tokens, preds, scales) for item in node[2:]))
+    if head == "or":
+        if len(node) < 3:
+            raise TokenError("or takes at least one form", node)
+        return OrLF(tuple(_build_lf(item, tokens, preds, scales) for item in node[2:]))
+    raise TokenError(f"unknown quantifier or form {head!r}", node[1])
 
 
 def _pred_table(preds: Iterable[PredicateSym] | Mapping[str, PredicateSym]) -> dict[str, PredicateSym]:
@@ -186,19 +180,28 @@ def _pred_table(preds: Iterable[PredicateSym] | Mapping[str, PredicateSym]) -> d
     return {p.name: p for p in preds}
 
 
+def _parse(text: str, build, *args):
+    """Read one form from text and build it; place any error in the text."""
+    tokens, node = read_one(text)
+    try:
+        return build(node, tokens, *args)
+    except TokenError as exc:
+        raise exc.place(text) from None
+
+
 def parse_lf(text: str, preds: Iterable[PredicateSym] | Mapping[str, PredicateSym]) -> LogicalForm:
     """Parse a single formula against a table of declared predicates."""
-    return _build_lf(read_one(text), _pred_table(preds))
+    return _parse(text, _build_lf, _pred_table(preds))
 
 
 def parse_pexpr(text: str, preds: Iterable[PredicateSym] | Mapping[str, PredicateSym]) -> PredExpr:
     """Parse a single predicate expression (scope fragment)."""
-    return _build_pexpr(read_one(text), _pred_table(preds))
+    return _parse(text, _build_pexpr, _pred_table(preds))
 
 
 def parse_predicate(text: str, preds: Iterable[PredicateSym] | Mapping[str, PredicateSym]) -> PredicateSym:
     """Parse the name of a declared predicate."""
-    return _lookup(_pred_table(preds), read_one(text))
+    return _parse(text, _lookup, _pred_table(preds))
 
 
 # Traces and reports render the same few forms many times over.
@@ -275,69 +278,61 @@ _SECTION_ORDER = (
 )
 
 
-def _split_sections(items: tuple[SNode, ...]) -> dict[str, SList]:
-    sections: dict[str, SList] = {}
+def _split_sections(items: list[SNode], tokens: list[str]) -> dict[str, list]:
+    sections: dict[str, list] = {}
     cursor = 0
     for node in items:
-        if not isinstance(node, SList) or not node.items:
-            raise ParseError("expected a (section ...) form", node.line, node.col)
-        head = _expect_atom(node.items[0], "a section name")
-        if head.text not in _SECTION_ORDER:
-            raise ParseError(f"unknown section {head.text!r}", head.line, head.col)
-        index = _SECTION_ORDER.index(head.text)
-        if head.text in sections:
-            raise ParseError(f"duplicate section {head.text!r}", head.line, head.col)
+        if type(node) is int or len(node) == 1:
+            raise TokenError("expected a (section ...) form", node)
+        head = _expect_atom(node[1], tokens, "a section name")
+        if head not in _SECTION_ORDER:
+            raise TokenError(f"unknown section {head!r}", node[1])
+        index = _SECTION_ORDER.index(head)
+        if head in sections:
+            raise TokenError(f"duplicate section {head!r}", node[1])
         if index < cursor:
-            raise ParseError(
-                f"section {head.text!r} out of order", head.line, head.col
-            )
+            raise TokenError(f"section {head!r} out of order", node[1])
         cursor = index
-        sections[head.text] = node
+        sections[head] = node
     return sections
 
 
-def _parse_predicates(section: SList) -> dict[str, PredicateSym]:
+def _parse_predicates(section: list, tokens: list[str]) -> dict[str, PredicateSym]:
     preds: dict[str, PredicateSym] = {}
-    for node in section.items[1:]:
-        if not isinstance(node, SList) or len(node.items) != 2:
-            raise ParseError(
-                "each predicate declaration is (name :stative|:eventive)",
-                node.line,
-                node.col,
-            )
-        name = _ident(node.items[0], "a predicate name")
-        klass = _expect_atom(node.items[1], "a temporal class")
-        if klass.text not in (":stative", ":eventive"):
-            raise ParseError(
-                f"temporal class must be :stative or :eventive, got {klass.text!r}",
-                klass.line,
-                klass.col,
+    for node in section[2:]:
+        if type(node) is int or len(node) != 3:
+            raise TokenError("each predicate declaration is (name :stative|:eventive)", node)
+        name = _ident(node[1], tokens, "a predicate name")
+        klass = _expect_atom(node[2], tokens, "a temporal class")
+        if klass not in (":stative", ":eventive"):
+            raise TokenError(
+                f"temporal class must be :stative or :eventive, got {klass!r}", node[2]
             )
         if name in preds:
-            raise ParseError(f"duplicate predicate {name!r}", node.line, node.col)
-        preds[name] = PredicateSym(name, klass.text[1:])
+            raise TokenError(f"duplicate predicate {name!r}", node)
+        preds[name] = PredicateSym(name, klass[1:])
     if not preds:
-        raise ParseError("at least one predicate declaration required", section.line, section.col)
+        raise TokenError("at least one predicate declaration required", section)
     return preds
 
 
-def _parse_scales(section: SList) -> ScaleRegistry:
+def _parse_scales(section: list, tokens: list[str]) -> ScaleRegistry:
     scales = []
-    for node in section.items[1:]:
-        if not isinstance(node, SList) or not node.items:
-            raise ParseError("each scale is a list of quantifiers", node.line, node.col)
+    for node in section[2:]:
+        if type(node) is int or len(node) == 1:
+            raise TokenError("each scale is a list of quantifiers", node)
         members = []
-        for item in node.items:
-            atom = _expect_atom(item, "a quantifier")
-            if atom.text not in _QUANTS:
-                raise ParseError(f"unknown quantifier {atom.text!r}", atom.line, atom.col)
-            members.append(_QUANTS[atom.text])
+        for item in node[1:]:
+            quant = _expect_atom(item, tokens, "a quantifier")
+            if quant not in _QUANTS:
+                raise TokenError(f"unknown quantifier {quant!r}", item)
+            members.append(_QUANTS[quant])
         try:
             scales.append(Scale(tuple(members)))
         except ScaleError as exc:
-            raise ParseError(str(exc), node.line, node.col) from None
+            raise TokenError(str(exc), node) from None
     if not scales:
-        raise ParseError("at least one scale required in (scales ...)", section.line, section.col)
+        raise TokenError("at least one scale required in (scales ...)", section)
     return ScaleRegistry(tuple(scales))
 
 
@@ -359,39 +354,36 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
     ``bound``, when given, replaces the scenario's model-size bound (its
     ``(individuals N)`` or the default), and every check runs at it.
     """
-    root = read_one(text)
-    if not isinstance(root, SList) or not root.items:
-        raise ParseError("expected a (scenario ...) form", root.line, root.col)
-    head = _expect_atom(root.items[0], "the scenario keyword")
-    if head.text != "scenario":
-        raise ParseError(f"expected 'scenario', got {head.text!r}", head.line, head.col)
-    if len(root.items) < 2:
-        raise ParseError("scenario needs a name", root.line, root.col)
-    name = _ident(root.items[1], "a scenario name")
-    sections = _split_sections(tuple(root.items[2:]))
+    return _parse(text, _build_scenario, source, bound)
+
+
+def _build_scenario(root: SNode, tokens: list[str], source: str, bound: int | None) -> Scenario:
+    if type(root) is int or len(root) == 1:
+        raise TokenError("expected a (scenario ...) form", root)
+    head = _expect_atom(root[1], tokens, "the scenario keyword")
+    if head != "scenario":
+        raise TokenError(f"expected 'scenario', got {head!r}", root[1])
+    if len(root) < 3:
+        raise TokenError("scenario needs a name", root)
+    name = _ident(root[2], tokens, "a scenario name")
+    sections = _split_sections(root[3:], tokens)
 
     if "predicates" not in sections:
-        raise ParseError("missing (predicates ...) section", root.line, root.col)
-    preds = _parse_predicates(sections["predicates"])
+        raise TokenError("missing (predicates ...) section", root)
+    preds = _parse_predicates(sections["predicates"], tokens)
 
     max_universe = DEFAULT_BOUND
     if "individuals" in sections:
         node = sections["individuals"]
-        if len(node.items) != 2:
-            raise ParseError("(individuals N) takes one number", node.line, node.col)
-        atom = _expect_atom(node.items[1], "a positive integer")
-        if not (atom.text.isascii() and atom.text.isdigit()) or not atom.text.strip("0"):
-            raise ParseError(
-                f"individuals must be a positive integer, got {atom.text!r}",
-                atom.line,
-                atom.col,
-            )
+        if len(node) != 3:
+            raise TokenError("(individuals N) takes one number", node)
+        digits = _expect_atom(node[2], tokens, "a positive integer")
+        if not (digits.isascii() and digits.isdigit()) or not digits.strip("0"):
+            raise TokenError(f"individuals must be a positive integer, got {digits!r}", node[2])
         try:
-            max_universe = int(atom.text)
+            max_universe = int(digits)
         except ValueError:  # past the interpreter's limit on digits to convert
-            raise ParseError(
-                f"individuals has too many digits ({len(atom.text)})", atom.line, atom.col
-            ) from None
+            raise TokenError(f"individuals has too many digits ({len(digits)})", node[2]) from None
     if bound is not None:
         max_universe = bound
     try:
@@ -401,24 +393,26 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
         node = sections["predicates"]
         if bound is None:
             node = sections.get("individuals", node)
-        raise ParseError(str(exc), node.line, node.col) from None
+        raise TokenError(str(exc), node) from None
 
-    scales = _parse_scales(sections["scales"]) if "scales" in sections else default_registry()
+    scales = (
+        _parse_scales(sections["scales"], tokens) if "scales" in sections else default_registry()
+    )
 
     def lf_list(section_name: str) -> tuple[LogicalForm, ...]:
         if section_name not in sections:
             return ()
-        return tuple(_build_lf(item, preds, scales) for item in sections[section_name].items[1:])
+        return tuple(_build_lf(item, tokens, preds, scales) for item in sections[section_name][2:])
 
     common_knowledge = lf_list("common-knowledge")
     discourse = lf_list("discourse")
 
     if "target" not in sections:
-        raise ParseError("missing (target LF) section", root.line, root.col)
+        raise TokenError("missing (target LF) section", root)
     target_node = sections["target"]
-    if len(target_node.items) != 2:
-        raise ParseError("(target LF) takes exactly one form", target_node.line, target_node.col)
-    target = _build_lf(target_node.items[1], preds, scales)
+    if len(target_node) != 3:
+        raise TokenError("(target LF) takes exactly one form", target_node)
+    target = _build_lf(target_node[2], tokens, preds, scales)
 
     continuations = lf_list("continuations")
 
@@ -426,27 +420,25 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
     if "theories" in sections:
         node = sections["theories"]
         picked = []
-        for item in node.items[1:]:
-            atom = _expect_atom(item, "a theory name")
-            if atom.text not in THEORY_NAMES:
-                raise ParseError(f"unknown theory {atom.text!r}", atom.line, atom.col)
-            if atom.text not in picked:
-                picked.append(atom.text)
+        for item in node[2:]:
+            theory = _expect_atom(item, tokens, "a theory name")
+            if theory not in THEORY_NAMES:
+                raise TokenError(f"unknown theory {theory!r}", item)
+            if theory not in picked:
+                picked.append(theory)
         if not picked:
-            raise ParseError("(theories ...) needs at least one name", node.line, node.col)
+            raise TokenError("(theories ...) needs at least one name", node)
         enabled = tuple(picked)
 
     expect = None
     if "expect" in sections:
         node = sections["expect"]
-        if len(node.items) != 2:
-            raise ParseError("(expect odd|felicitous) takes one verdict", node.line, node.col)
-        atom = _expect_atom(node.items[1], "a verdict")
-        if atom.text not in ("odd", "felicitous"):
-            raise ParseError(
-                f"expect must be odd or felicitous, got {atom.text!r}", atom.line, atom.col
-            )
-        expect = Verdict(atom.text)
+        if len(node) != 3:
+            raise TokenError("(expect odd|felicitous) takes one verdict", node)
+        verdict = _expect_atom(node[2], tokens, "a verdict")
+        if verdict not in ("odd", "felicitous"):
+            raise TokenError(f"expect must be odd or felicitous, got {verdict!r}", node[2])
+        expect = Verdict(verdict)
 
     pred_tuple = tuple(preds.values())
     facts = common_knowledge + discourse
@@ -462,12 +454,10 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
             f" inconsistent at bound {max_universe}.{detail}"
         )
     if continuations and not consistent(facts + (target,), pred_tuple, max_universe, scales):
-        node = sections["continuations"]
-        raise ParseError(
+        raise TokenError(
             f"continuations need a target the context admits, but {render_lf(target)}"
             f" contradicts common knowledge and discourse at bound {max_universe}",
-            node.line,
-            node.col,
+            sections["continuations"],
         )
 
     return Scenario(

@@ -1,17 +1,20 @@
 """Positioned s-expression reader shared by the formula and scenario parsers.
 
 Only parentheses and bare atoms exist; no strings, quoting, or comments.
-Every node remembers which token of its text it starts at, so parse errors
-can point at the offending token: the line and column are worked out from
-the text when asked for, which is only ever on the way to an error. Lists
-nest at most MAX_DEPTH deep, so that the recursive builders, renderers and
-evaluators downstream stay within Python's recursion limit.
+``read_all`` returns the token texts together with the forms, and a form
+is made of token indices: an atom is the index of its token (an ``int``),
+and a list is ``[index of its "(", *items]`` (a ``list``). Builders read
+an atom's text as ``tokens[node]`` and a list's arity as ``len(node) - 1``.
+A node's index is also its position, so parse errors point at the
+offending token: the line and column are worked out from the text when
+asked for, which is only ever on the way to an error. Lists nest at most
+MAX_DEPTH deep, so that the recursive builders, renderers and evaluators
+downstream stay within Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .logic import FelicityError
@@ -20,7 +23,10 @@ MAX_DEPTH = 100
 
 # A parenthesis, or a maximal run of anything but whitespace and
 # parentheses. \s is str.isspace(), so every whitespace character separates.
+# read_all splits with str.split(), which separates at the same characters.
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+
+SNode = int | list  # a token index, or [index of "(", *items]
 
 
 class ParseError(FelicityError):
@@ -31,6 +37,16 @@ class ParseError(FelicityError):
         self.col = col
 
 
+class TokenError(Exception):
+    """``TokenError(message, node)``: a parse error at a node, not yet placed
+    in its text. Builders raise it, and the parser's entry point turns it
+    into a ParseError."""
+
+    def place(self, text: str) -> ParseError:
+        message, node = self.args
+        return ParseError(message, *_position(text, node if type(node) is int else node[0]))
+
+
 def _position(text: str, index: int) -> tuple[int, int]:
     """Line and column (both from 1) of token ``index`` of text; only a
     newline starts a line, and any other character takes one column."""
@@ -38,67 +54,34 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Node:
-    __slots__ = ()
-
-    @property
-    def line(self) -> int:
-        return _position(self.source, self.index)[0]
-
-    @property
-    def col(self) -> int:
-        return _position(self.source, self.index)[1]
-
-
-@dataclass(slots=True)
-class SAtom(_Node):
-    """An atom token."""
-
-    text: str
-    index: int  # of the token among all tokens of the source text
-    source: str = field(repr=False, compare=False)  # the text read
-
-
-@dataclass(slots=True)
-class SList(_Node):
-    """A parenthesised list of nodes."""
-
-    items: tuple["SNode", ...]
-    index: int  # of the opening parenthesis
-    source: str = field(repr=False, compare=False)  # the text read
-
-
-SNode = SAtom | SList
-
-
-def read_all(text: str) -> list[SNode]:
+def read_all(text: str) -> tuple[list[str], list[SNode]]:
+    """The tokens of text and its top-level forms."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     forms: list[SNode] = []
     items = forms
-    stack: list[tuple[list[SNode], int]] = []  # enclosing items, index of the '('
-    for i, tok in enumerate(_TOKEN.findall(text)):
+    stack: list[list[SNode]] = []  # the lists enclosing items
+    for i, tok in enumerate(tokens):
         if tok == "(":
             if len(stack) == MAX_DEPTH:
                 raise ParseError(f"lists nest deeper than {MAX_DEPTH} levels", *_position(text, i))
-            stack.append((items, i))
-            items = []
+            stack.append(items)
+            items.append([i])
+            items = items[-1]
         elif tok == ")":
             if not stack:
                 raise ParseError("unexpected ')'", *_position(text, i))
-            enclosing, start = stack.pop()
-            enclosing.append(SList(tuple(items), start, text))
-            items = enclosing
+            items = stack.pop()
         else:
-            items.append(SAtom(tok, i, text))
+            items.append(i)
     if stack:
-        raise ParseError("unclosed '('", *_position(text, stack[-1][1]))
-    return forms
+        raise ParseError("unclosed '('", *_position(text, items[0]))
+    return tokens, forms
 
 
-def read_one(text: str) -> SNode:
-    forms = read_all(text)
+def read_one(text: str) -> tuple[list[str], SNode]:
+    tokens, forms = read_all(text)
     if not forms:
         raise ParseError("empty input", 1, 1)
     if len(forms) > 1:
-        extra = forms[1]
-        raise ParseError("trailing content after the first form", extra.line, extra.col)
-    return forms[0]
+        raise TokenError("trailing content after the first form", forms[1]).place(text)
+    return tokens, forms[0]

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 from felicity.cli import main
 from felicity.sexpr import MAX_DEPTH
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 ALL_FIXTURES = sorted(str(p) for p in FIXTURES.glob("*.sexp"))
 
@@ -77,6 +81,28 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(bad))
         assert code == 2
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+    def test_closed_output_pipe_is_an_error_without_a_traceback(self):
+        # Five copies of the fixtures with traces are ~180 KB, more than a
+        # pipe holds, so the CLI is still writing when the reader goes away.
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "felicity.cli",
+             "run", "--format", "json", "--explain", *ALL_FIXTURES * 5],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert code == 2
+        assert err == ""
 
     def test_unexpected_exception_is_a_one_line_error(self, capsys, monkeypatch):
         def broken(scenario):
@@ -197,6 +223,13 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", *ALL_FIXTURES)
         assert code == 0
         assert "MISMATCH" not in out
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        bom = tmp_path / "bom.sexp"
+        bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "magri-1.sexp").read_bytes())
+        code, out, _ = run_cli(capsys, "check", str(bom))
+        assert code == 0
+        assert out.startswith("ok magri-1: odd")
 
     def test_wrong_expectation_exits_one_and_names_scenario(self, capsys, tmp_path):
         wrong = tmp_path / "wrong.sexp"

@@ -12,7 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from felicity.sexpr import MAX_DEPTH, ParseError, SAtom, _TOKEN, read_all, read_one
+from felicity.sexpr import MAX_DEPTH, ParseError, _TOKEN, _position, read_all, read_one
 
 
 def _reference_tokens(text):
@@ -54,17 +54,22 @@ def _reference_read(text):
     return "ok", forms
 
 
-def _shape(node):
-    if isinstance(node, SAtom):
-        return (node.text, node.line, node.col)
-    return ("(", node.line, node.col, tuple(_shape(n) for n in node.items))
+def _shape(node, tokens, text):
+    """The reference's nesting for a node: an atom is its token index and a
+    list is [index of its '(', *items]."""
+    if type(node) is int:
+        return (tokens[node], *_position(text, node))
+    return ("(", *_position(text, node[0]), tuple(_shape(n, tokens, text) for n in node[1:]))
 
 
 def _read(text):
     try:
-        return "ok", [_shape(n) for n in read_all(text)]
+        tokens, forms = read_all(text)
     except ParseError as exc:
         return "error", (exc.message, exc.line, exc.col)
+    # Positions index _TOKEN's tokens, so the reader must split the same way.
+    assert tokens == _TOKEN.findall(text)
+    return "ok", [_shape(n, tokens, text) for n in forms]
 
 
 _MESSY = "(only (some a\t(and-conc b\r\n  c)))\r\n\t(not  x)\x0b y z\r\n"
@@ -102,15 +107,28 @@ class TestReaderPositions:
         assert (err.value.message, err.value.line, err.value.col) == ("empty input", 1, 1)
 
     def test_token_whitespace_is_str_isspace(self):
-        # the reference splits at str.isspace(); the reader's pattern must too
+        # the reference splits at str.isspace(); the reader and the pattern
+        # its positions index must too
+        def splits(c):
+            text = "a" + c + "a"
+            return _TOKEN.findall(text) == ["a", "a"], read_all(text)[0] == ["a", "a"]
+
         differ = [
             c for c in map(chr, range(sys.maxunicode + 1))
-            if c not in "()" and (_TOKEN.findall("a" + c + "a") == ["a", "a"]) != c.isspace()
+            if c not in "()" and splits(c) != (c.isspace(), c.isspace())
         ]
         assert differ == []
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(["(", ")", "ab", "c-1", " ", "\t", "\r\n", "\n", "\r"])))
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["(", ")", "ab", "c-1", " ", "\t", "\r\n", "\n", "\r"]
+                # whitespace beyond ASCII, then two characters that are not
+                + ["\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "\u200b", "\ufeff"]
+            )
+        )
+    )
     def test_random_text_matches_reference(self, pieces):
         text = "".join(pieces)
         assert _read(text) == _reference_read(text)
