@@ -63,7 +63,6 @@ from .context import (
 from .alternatives import (
     Alternative,
     AlternativeSet,
-    ImplicatureSet,
     Presup,
     PresupVariant,
     PresuppositionUndefinedError,
@@ -72,9 +71,7 @@ from .alternatives import (
     exh,
     presup_strictly_stronger,
     presupposition,
-    primary_implicatures,
     prune_settled,
-    secondary_implicatures,
     substitution_alternatives,
 )
 from .judge import (

@@ -1,4 +1,4 @@
-"""Scalar alternatives, exhaustification, implicature layers, presuppositions.
+"""Scalar alternatives, exhaustification, ignorance inferences, presuppositions.
 
 Alternatives come from quantifier substitution only: at each quantified node
 a scale-mate no more complex than the original may be swapped in. Deletion
@@ -12,10 +12,9 @@ and its alternative set, with no context parameter. Context enters earlier
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache, reduce
-from typing import Iterable
 
 from .logic import (
     ALL,
@@ -35,6 +34,7 @@ from .logic import (
     entails,
     entails_with_existential_import,
     lf_predicates,
+    record,
 )
 from .context import ContextState, settled_by_discourse
 from .scales import ScaleRegistry
@@ -50,24 +50,21 @@ class Tag(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Alternative:
+class Alternative(record("Alternative", "form tag")):
     """An alternative form with its strength relative to the origin."""
 
-    form: LogicalForm
-    tag: Tag
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AlternativeSet:
+class AlternativeSet(record("AlternativeSet", "origin members")):
     """The tagged alternatives of one origin form, the origin excluded."""
 
-    origin: LogicalForm
-    members: tuple[Alternative, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(alt.form == self.origin for alt in self.members):
+    def __new__(cls, origin, members):
+        if any(alt.form == origin for alt in members):
             raise ValueError("the origin is not its own alternative")
+        return tuple.__new__(cls, (origin, members))
 
     def forms(self) -> tuple[LogicalForm, ...]:
         return tuple(alt.form for alt in self.members)
@@ -76,41 +73,15 @@ class AlternativeSet:
         return tuple(alt.form for alt in self.members if alt.tag is Tag.STRONGER)
 
 
-@dataclass(frozen=True)
-class ImplicatureSet:
-    """Sauerland's two layers: primary not-certain(alt), secondary certain(not-alt)."""
-
-    primary: tuple[LogicalForm, ...] = ()
-    secondary: tuple[LogicalForm, ...] = ()
-
-    def __post_init__(self):
-        primary_targets = set(self.primary_targets())
-        for target in self.secondary_targets():
-            if target not in primary_targets:
-                raise ValueError(
-                    f"secondary implicature about {target!r} lacks a matching primary"
-                )
-
-    def primary_targets(self) -> tuple[LogicalForm, ...]:
-        # each primary member is NotLF(Know(target))
-        return tuple(m.body.body for m in self.primary)
-
-    def secondary_targets(self) -> tuple[LogicalForm, ...]:
-        # each secondary member is Know(NotLF(target))
-        return tuple(m.body.body for m in self.secondary)
-
-
 class PresupVariant(Enum):
     WEAK = "weak"
     EXHAUSTIFIED = "exhaustified"
 
 
-@dataclass(frozen=True)
-class Presup:
+class Presup(record("Presup", "content variant")):
     """A presupposition and the variant that produced it."""
 
-    content: LogicalForm
-    variant: PresupVariant
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -243,55 +214,6 @@ def exh(
     return reduce(AndLF, negations, lf)
 
 
-def primary_implicatures(lf: LogicalForm, alts: AlternativeSet) -> ImplicatureSet:
-    """not-certain(m) for every stronger alternative m.
-
-    Purely structural and context-free; whether a primary implicature
-    survives against the context is someone else's problem.
-    """
-    if alts.origin != lf:
-        raise ValueError("alternative set was computed for a different origin")
-    return ImplicatureSet(
-        primary=tuple(NotLF(Know(m)) for m in alts.stronger()), secondary=()
-    )
-
-
-def secondary_implicatures(
-    lf: LogicalForm,
-    primaries: ImplicatureSet,
-    bound: int = DEFAULT_BOUND,
-    scales: ScaleRegistry | None = None,
-) -> ImplicatureSet:
-    """Promote primary targets to certain(not-m) where jointly consistent.
-
-    Targets are visited strongest first; each is admitted only if its
-    negation is consistent with the sentence plus all negations already
-    admitted.
-    """
-    targets = list(primaries.primary_targets())
-    preds = _declared(lf, *targets)
-
-    def strength(m: LogicalForm) -> int:
-        return sum(
-            1
-            for other in targets
-            if other != m
-            and entails_with_existential_import([m], other, preds, bound, scales)
-            and not entails_with_existential_import([other], m, preds, bound, scales)
-        )
-
-    ordered = sorted(range(len(targets)), key=lambda i: (-strength(targets[i]), i))
-    admitted: list[LogicalForm] = []
-    for i in ordered:
-        m = targets[i]
-        if consistent([lf, NotLF(m)] + [NotLF(t) for t in admitted], preds, bound, scales):
-            admitted.append(m)
-    return ImplicatureSet(
-        primary=primaries.primary,
-        secondary=tuple(Know(NotLF(m)) for m in admitted),
-    )
-
-
 def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, ...]:
     """Ignorance implicatures not-certain(d) for the live disjuncts of disj.
 
@@ -299,10 +221,10 @@ def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, .
     existential import on the restrictors, so the trivially weakest mate is
     not treated as open) or when the discourse record has already settled
     it. Only the surviving disjuncts carry ignorance inferences; the pruning
-    is driven by explicit updates, never by background knowledge.
+    is driven by explicit updates, never by background knowledge. So a
+    one-disjunct expansion (over a one-member scale) has none: the
+    disjunction forces its only disjunct.
     """
-    if len(disj.disjuncts) < 2:
-        raise ValueError("ignorance inferences need at least two disjuncts")
     out = []
     for d in disj.disjuncts:
         if entails_with_existential_import([disj], d, ctx.preds, ctx.bound, ctx.scales):

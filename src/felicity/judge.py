@@ -15,9 +15,9 @@ trips the predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable, NamedTuple
 
 from .alternatives import (
     AlternativeSet,
@@ -60,6 +60,7 @@ from .logic import (
     entails_with_existential_import,
     expand_qi,
     node_facts,
+    record,
 )
 
 (
@@ -88,38 +89,28 @@ class Mechanism(Enum):
     NONE = "none"
 
 
-class TraceStep(NamedTuple):
-    rule: str
-    inputs: tuple[str, ...]
-    output: str
+TraceStep = namedtuple("TraceStep", "rule inputs output")
 
 
-@dataclass(frozen=True)
-class TheoryVerdict:
+class TheoryVerdict(record("TheoryVerdict", "theory verdict mechanism trace")):
     """One theory's verdict, the mechanism that fired (if any) and its trace."""
 
-    theory: str
-    verdict: Verdict
-    mechanism: Mechanism
-    trace: tuple[TraceStep, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.verdict is Verdict.ODD) != (self.mechanism is not Mechanism.NONE):
+    def __new__(cls, theory, verdict, mechanism, trace):
+        if (verdict is Verdict.ODD) != (mechanism is not Mechanism.NONE):
             raise ValueError("a verdict is odd exactly when a mechanism fired")
+        return tuple.__new__(cls, (theory, verdict, mechanism, trace))
 
     @property
     def fired(self) -> bool:
         return self.mechanism is not Mechanism.NONE
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(record("Judgment", "reading theories aggregate continuations", ((),))):
     """The verdicts of all enabled theories on one target, and their aggregate."""
 
-    reading: Reading
-    theories: tuple[TheoryVerdict, ...]
-    aggregate: Verdict
-    continuations: tuple[tuple[LogicalForm, Verdict], ...] = ()
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +167,10 @@ def _fmt_form(lf: LogicalForm) -> str:
     return render_lf(lf)
 
 
-class InputKind(NamedTuple):
-    """How a rule input is recorded and read back: ``render`` turns the
-    value into trace text, ``parse`` turns that text back into the value
-    against the replaying context and its table of declared predicates."""
-
-    render: Callable[[object], str]
-    parse: Callable[[str, ContextState, dict], object]
+# How a rule input is recorded and read back: ``render`` turns the value
+# into trace text, ``parse`` turns that text back into the value against the
+# replaying context and its table of declared predicates.
+InputKind = namedtuple("InputKind", "render parse")
 
 
 FORM = InputKind(_fmt_form, lambda text, ctx, preds: parse_lf(text, preds))
@@ -205,13 +193,9 @@ RESTRICTOR = InputKind(lambda p: p.name, lambda text, ctx, preds: parse_predicat
 SCOPE = InputKind(lambda p: render_pexpr(p), lambda text, ctx, preds: parse_pexpr(text, preds))
 
 
-class Rule(NamedTuple):
-    """A trace rule: the kinds of its inputs, the function computing its
-    value from the context and the inputs, and the renderer of the value."""
-
-    inputs: tuple[InputKind, ...]
-    compute: Callable[..., object]
-    output: Callable[[object], str]
+# A trace rule: the kinds of its inputs, the function computing its value
+# from the context and the inputs, and the renderer of the value.
+Rule = namedtuple("Rule", "inputs compute output")
 
 
 def _words(yes: str, no: str) -> Callable[[bool], str]:

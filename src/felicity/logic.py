@@ -31,18 +31,15 @@ extended sequent then goes to ``entails``.
 from __future__ import annotations
 
 import _thread
-import inspect
+import re
 import weakref
-from dataclasses import MISSING, FrozenInstanceError, dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import product
 from math import comb
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
-
-if TYPE_CHECKING:
-    from .scales import ScaleRegistry
 
 DEFAULT_BOUND = 4
 BUDGET_BITS = 24
@@ -74,6 +71,10 @@ class ResourceBudgetError(FelicityError):
 
 class WellFormednessError(FelicityError):
     """A form violates a structural invariant."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete a field of an interned value."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,32 +138,40 @@ class _Interning(type):
 
 
 class Interned(metaclass=_Interning):
-    """Base of immutable dataclasses whose equal values share one object.
+    """Base of immutable classes whose equal values share one object.
 
     Equality is identity, and so is the hash: ``object``'s own slots, with
     no Python-level ``__eq__`` or ``__hash__``. That is sound because two
     live values with equal fields are always one object. Every supported
     way to make a value goes through the intern table: a call of the class,
-    and so ``dataclasses.replace``, and pickling and ``copy``/``deepcopy``,
-    which rebuild through the constructor (``__reduce__``). The table
-    itself is race-free: the lookup that finds no live value and the insert
-    that follows happen under one lock, so threads that build the same new
-    value concurrently all get one object back. ``object.__new__`` on a node
+    and so ``_replace``, and pickling and ``copy``/``deepcopy``, which
+    rebuild through the constructor (``__reduce__``). The table itself is
+    race-free: the lookup that finds no live value and the insert that
+    follows happen under one lock, so threads that build the same new value
+    concurrently all get one object back. ``object.__new__`` on a node
     class bypasses the table; it is not a supported constructor, and a
     value made that way equals nothing but itself.
 
-    Subclasses are declared ``@dataclass(init=False, eq=False, repr=False)``
-    and get ``__init__``, ``__repr__`` and frozen-instance behaviour from
-    here, written once instead of generated per class: generating them is
-    most of the cost of creating a class, which every process pays at
-    start-up, while a node's ``__init__`` runs only when the intern table
-    has no equal value. ``__init__`` binds arguments as a dataclass would
-    (positional, keyword, field defaults), stores them and calls
-    ``__post_init__``, which may validate and may rebind fields through
-    ``object.__setattr__``. The engine's other records
-    stay ``frozen=True``: they are built on every judgment, warm or cold,
-    where a generated ``__init__`` is the faster one.
+    A subclass declares its fields as annotations, in order, and a default
+    as a class attribute of the same name. ``__init_subclass__`` reads them
+    into ``__match_args__`` (the field names) and ``_defaults``, and
+    installs ``_fields()`` (the field values). ``__init__``, ``__repr__``
+    and the frozen ``__setattr__``/``__delattr__`` are written here once.
+    ``__init__`` binds positional, keyword and default arguments, stores
+    them and calls ``__post_init__``, which may validate and may rebind
+    fields through ``object.__setattr__``. It runs only when the intern
+    table has no equal value. Nodes stay plain classes, not tuples: the
+    table holds weak references to them.
     """
+
+    __match_args__: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+        cls._fields = _field_getter(names)
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
@@ -187,12 +196,9 @@ class Interned(metaclass=_Interning):
         )
         return f"{self.__class__.__qualname__}({fields})"
 
-    def _fields(self) -> tuple:
-        """The field values, in declaration order. The first call on a
-        class installs that class's own getter, which later calls use."""
-        cls = type(self)
-        cls._fields = _field_getter(cls.__match_args__)
-        return cls._fields(self)
+    def _replace(self, **changes):
+        """The live value with the given fields changed."""
+        return type(self)(**dict(zip(self.__match_args__, self._fields()), **changes))
 
     def __reduce__(self):
         # Rebuild through the constructor, so that the copy is the live
@@ -212,29 +218,55 @@ def _field_getter(names: tuple[str, ...]):
     return lambda self: get_all(self)
 
 
-@lru_cache(maxsize=None)
-def _signature(cls: type) -> inspect.Signature:
-    """The signature of the ``__init__`` a dataclass would generate for cls."""
-    kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
-    return inspect.Signature([
-        inspect.Parameter(name, kind, default=empty if f.default is MISSING else f.default)
-        for name, f in cls.__dataclass_fields__.items()
-    ])
-
-
-def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
-    """The field values of ``cls(*args, **kwargs)``, bound as a dataclass
-    ``__init__`` binds them, with a TypeError for extra, unknown, repeated or
-    missing arguments."""
+def _bind(cls: type, args: tuple, kwargs: dict) -> list:
+    """The field values of ``cls(*args, **kwargs)``, with the TypeError that
+    ``inspect.Signature.bind`` gives for repeated, extra, missing or unknown
+    arguments."""
+    names = cls.__match_args__
     try:
-        bound = _signature(cls).bind(*args, **kwargs)
+        for name in names[: len(args)]:
+            if name in kwargs:
+                raise TypeError(f"multiple values for argument {name!r}")
+        if len(args) > len(names):
+            raise TypeError("too many positional arguments")
+        values = list(args)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"missing a required argument: {name!r}")
+        if kwargs:
+            raise TypeError(f"got an unexpected keyword argument {next(iter(kwargs))!r}")
     except TypeError as exc:
         raise TypeError(f"{cls.__qualname__}(): {exc}") from None
-    bound.apply_defaults()
-    return bound.args
+    return values
 
 
-@dataclass(init=False, eq=False, repr=False)
+def record(typename: str, field_names: str, defaults: tuple = ()) -> type:
+    """The base of an immutable record class: a ``collections.namedtuple``
+    whose values equal only values of their own class, never a plain tuple
+    or another record with the same fields. Its ``_make``, and so
+    ``_replace``, builds through the class call, so that a subclass's
+    ``__new__`` (which may normalize and validate) and ``__init__`` run on
+    every copy too. A subclass declares ``__slots__ = ()``."""
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base.__eq__ = _record_eq
+    base.__ne__ = _record_ne
+    base.__hash__ = tuple.__hash__
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+def _record_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other):
+    return not _record_eq(self, other)
+
+
 class PredicateSym(Interned):
     """A unary predicate symbol with a fixed temporal class."""
 
@@ -242,6 +274,14 @@ class PredicateSym(Interned):
     temporal_class: str = STATIVE
 
     def __post_init__(self):
+        # The reader's identifier rule: any other name would render as text
+        # that parse_lf cannot read back.
+        if type(self.name) is not str or not _IDENT_RE.match(self.name) or (
+            self.name in _RESERVED
+        ):
+            raise WellFormednessError(
+                f"predicate name must be an identifier and not a keyword, got {self.name!r}"
+            )
         if self.temporal_class not in TEMPORAL_CLASSES:
             raise WellFormednessError(
                 f"temporal class of {self.name!r} must be one of {TEMPORAL_CLASSES},"
@@ -249,14 +289,12 @@ class PredicateSym(Interned):
             )
 
 
-@dataclass(init=False, eq=False, repr=False)
 class Atom(Interned):
     """A predicate symbol used as a predicate expression."""
 
     pred: PredicateSym
 
 
-@dataclass(init=False, eq=False, repr=False)
 class TruePred(Interned):
     """The trivially true predicate (denotes the whole universe)."""
 
@@ -264,14 +302,12 @@ class TruePred(Interned):
 TRUE = TruePred()
 
 
-@dataclass(init=False, eq=False, repr=False)
 class NotP(Interned):
     """Predicate negation; denotes the complement in the universe."""
 
     body: "PredExpr"
 
 
-@dataclass(init=False, eq=False, repr=False)
 class AndConc(Interned):
     """Concurrent predicate conjunction; denotes set intersection."""
 
@@ -279,7 +315,6 @@ class AndConc(Interned):
     right: "PredExpr"
 
 
-@dataclass(init=False, eq=False, repr=False)
 class AndSeq(Interned):
     """Sequenced predicate conjunction: events in order, not an intersection.
 
@@ -301,7 +336,7 @@ class AndSeq(Interned):
                 )
 
 
-PredExpr = Union[Atom, TruePred, NotP, AndConc, AndSeq]
+PredExpr = (Atom, TruePred, NotP, AndConc, AndSeq)
 
 
 class Quantifier(Enum):
@@ -327,8 +362,14 @@ MOST = Quantifier.MOST
 NO = Quantifier.NO
 QI = Quantifier.QI
 
+# Identifiers of the concrete syntax (``dsl``): names of predicates and
+# scenarios. A keyword of the formula grammar is not one.
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")  # \Z: no newline at the end either
+_RESERVED = {q.value for q in Quantifier} | {
+    "true", "not", "and", "or", "only", "and-conc", "and-seq"
+}
 
-@dataclass(init=False, eq=False, repr=False)
+
 class Quant(Interned):
     """A quantified clause: quantifier, restrictor symbol and scope."""
 
@@ -337,7 +378,6 @@ class Quant(Interned):
     scope: PredExpr
 
 
-@dataclass(init=False, eq=False, repr=False)
 class Only(Interned):
     """Overt exhaustivity marker; applies only to a quantified clause."""
 
@@ -348,14 +388,12 @@ class Only(Interned):
             raise WellFormednessError("only applies to a quantified clause")
 
 
-@dataclass(init=False, eq=False, repr=False)
 class NotLF(Interned):
     """Clausal negation."""
 
     body: "LogicalForm"
 
 
-@dataclass(init=False, eq=False, repr=False)
 class AndLF(Interned):
     """Clausal conjunction."""
 
@@ -363,7 +401,6 @@ class AndLF(Interned):
     right: "LogicalForm"
 
 
-@dataclass(init=False, eq=False, repr=False)
 class OrLF(Interned):
     """Clausal disjunction of one or more forms."""
 
@@ -375,34 +412,27 @@ class OrLF(Interned):
             raise WellFormednessError("or requires at least one disjunct")
 
 
-@dataclass(init=False, eq=False, repr=False)
 class Know(Interned):
     """Certainty operator over the context's worlds; opaque to plain eval."""
 
     body: "LogicalForm"
 
 
-@dataclass(init=False, eq=False, repr=False)
 class Poss(Interned):
     """Possibility operator, the dual of Know."""
 
     body: "LogicalForm"
 
 
-LogicalForm = Union[Quant, Only, NotLF, AndLF, OrLF, Know, Poss]
-_FORMS = LogicalForm.__args__
+LogicalForm = _FORMS = (Quant, Only, NotLF, AndLF, OrLF, Know, Poss)
 
-
-class NodeFacts(NamedTuple):
-    """What the engine asks of a node's whole subtree."""
-
-    form: bool  # a logical form, not a predicate expression or symbol
-    epistemic_free: bool  # no know or poss
-    preds: tuple[PredicateSym, ...]  # every predicate symbol, restrictors included
-    restrictors: tuple[PredicateSym, ...]  # every quantifier restrictor
-    eventive: bool  # an eventive predicate occurs
-    seq: bool  # an and-seq occurs
-    conc: bool  # an and-conc occurs
+# What the engine asks of a node's whole subtree:
+# form: a logical form, not a predicate expression or symbol;
+# epistemic_free: no know or poss;
+# preds: every predicate symbol, restrictors included;
+# restrictors: every quantifier restrictor;
+# eventive, seq, conc: an eventive predicate, an and-seq, an and-conc occurs.
+NodeFacts = namedtuple("NodeFacts", "form epistemic_free preds restrictors eventive seq conc")
 
 
 def node_facts(node: Interned) -> NodeFacts:

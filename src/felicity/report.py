@@ -10,31 +10,21 @@ The JSON layout is stable and round-trips losslessly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dsl import render_lf
 from .judge import Judgment, Mechanism, TraceStep
+from .logic import record
 
 
-@dataclass(frozen=True)
-class TheoryRow:
+class TheoryRow(record("TheoryRow", "name verdict mechanism trace")):
     """One theory's line of a report, as strings."""
 
-    name: str
-    verdict: str
-    mechanism: str
-    trace: tuple[TraceStep, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(record("Report", "scenario reading aggregate theories continuations", ((),))):
     """A judgment as strings: what the table and the JSON show."""
 
-    scenario: str
-    reading: str
-    aggregate: str
-    theories: tuple[TheoryRow, ...]
-    continuations: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
 
 def build_report(name: str, judgment: Judgment) -> Report:

@@ -8,7 +8,6 @@ silently wrong alternatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .logic import (
@@ -25,8 +24,8 @@ from .logic import (
     entails_with_existential_import,
 )
 
-_CHECK_A = PredicateSym("_scale_check_a")
-_CHECK_B = PredicateSym("_scale_check_b")
+_CHECK_A = PredicateSym("scale-check-a")
+_CHECK_B = PredicateSym("scale-check-b")
 _CHECK_PREDS = (_CHECK_A, _CHECK_B)
 
 
@@ -53,7 +52,6 @@ def _verify_strength_order(members: tuple[Quantifier, ...]):
             )
 
 
-@dataclass(init=False, eq=False, repr=False)
 class Scale(Interned):
     """A scale, interned like the forms. Every construction validates; the
     strength order of a member sequence is verified once per process."""
@@ -98,7 +96,6 @@ class Scale(Interned):
         return tuple(m for m in self.members if m is not q and self.rank_of(m) <= cap)
 
 
-@dataclass(init=False, eq=False, repr=False)
 class ScaleRegistry(Interned):
     """The scales in force; a quantifier's scale is the first that holds it."""
 

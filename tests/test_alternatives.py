@@ -1,4 +1,4 @@
-"""Alternative generation, exhaustification, implicature layers, presuppositions."""
+"""Alternative generation, exhaustification, ignorance inferences, presuppositions."""
 
 from __future__ import annotations
 
@@ -32,10 +32,8 @@ from felicity import (
     expand_qi,
     presup_strictly_stronger,
     presupposition,
-    primary_implicatures,
     prune_settled,
     render_lf,
-    secondary_implicatures,
     substitution_alternatives,
 )
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, WARM
@@ -221,56 +219,6 @@ class TestExh:
             exh(ALL_WARM, alts)
 
 
-class TestImplicatures:
-    def test_primary_negates_certainty_of_stronger_mates(self, full_registry):
-        alts = substitution_alternatives(SOME_WARM, full_registry)
-        imps = primary_implicatures(SOME_WARM, alts)
-        assert set(imps.primary) == {
-            NotLF(Know(ALL_WARM)),
-            NotLF(Know(MOST_WARM)),
-        }
-        assert imps.secondary == ()
-
-    def test_conjoined_primary_targets_keep_conjunction(self, full_registry):
-        alts = substitution_alternatives(SOME_CONJ, full_registry)
-        imps = primary_implicatures(SOME_CONJ, alts)
-        targets = set(imps.primary_targets())
-        assert ALL_CONJ in targets
-        assert ALL_WARM not in targets
-
-    def test_no_stronger_mates_no_primaries(self, full_registry):
-        alts = substitution_alternatives(ALL_WARM, full_registry)
-        assert primary_implicatures(ALL_WARM, alts).primary == ()
-
-    def test_secondary_promotion_when_consistent(self, full_registry):
-        alts = substitution_alternatives(SOME_WARM, full_registry)
-        imps = secondary_implicatures(
-            SOME_WARM, primary_implicatures(SOME_WARM, alts)
-        )
-        assert Know(NotLF(ALL_WARM)) in imps.secondary
-
-    def test_secondary_for_conjoined_scope(self, full_registry):
-        alts = substitution_alternatives(SOME_CONJ, full_registry)
-        imps = secondary_implicatures(
-            SOME_CONJ, primary_implicatures(SOME_CONJ, alts)
-        )
-        assert Know(NotLF(ALL_CONJ)) in imps.secondary
-
-    def test_inconsistent_negation_excluded(self, full_registry):
-        # make the negation of the target clash with the sentence itself
-        from felicity import ImplicatureSet
-
-        primaries = ImplicatureSet(primary=(NotLF(Know(SOME_WARM)),))
-        imps = secondary_implicatures(SOME_WARM, primaries)
-        assert imps.secondary == ()
-
-    def test_every_secondary_has_matching_primary(self, full_registry):
-        from felicity import ImplicatureSet
-
-        with pytest.raises(ValueError):
-            ImplicatureSet(primary=(), secondary=(Know(NotLF(ALL_WARM)),))
-
-
 class TestDisjunctionIgnorance:
     def test_unsettled_universal_disjunct_yields_ignorance(self, short_registry):
         ctx = ctx_with(scales=short_registry)
@@ -294,12 +242,15 @@ class TestDisjunctionIgnorance:
         targets = [i.body.body for i in disjunction_ignorance(expansion, ctx)]
         assert SOME_WARM not in targets
 
-    def test_requires_at_least_two_disjuncts(self, short_registry):
-        from felicity import OrLF
+    def test_a_single_disjunct_has_no_ignorance_inference(self, short_registry):
+        # a one-member scale expands to one disjunct, which the whole forces
+        from felicity import OrLF, Scale
 
         ctx = ctx_with(scales=short_registry)
-        with pytest.raises(ValueError):
-            disjunction_ignorance(OrLF((ALL_WARM,)), ctx)
+        assert disjunction_ignorance(OrLF((ALL_WARM,)), ctx) == ()
+        expansion = expand_qi(ITALIAN, Atom(WARM), Scale((SOME,)))
+        assert expansion == OrLF((SOME_WARM,))
+        assert disjunction_ignorance(expansion, ctx) == ()
 
 
 class TestPresuppositions:

@@ -181,6 +181,22 @@ class TestRun:
         col = len(head) + len("(scales ") + 1
         assert err == f"error: {bad}: line 1, col {col}: duplicate members in scale (some some)\n"
 
+    @pytest.mark.parametrize("command, expected", [("run", 0), ("check", 1)])
+    def test_a_one_member_scale_is_judged(self, capsys, tmp_path, command, expected):
+        # magri-13 over (scales (some)): the indefinite expands to a single
+        # disjunct, which carries no ignorance inference, so the indirect
+        # route no longer fires and the expected oddness is not met
+        text = (FIXTURES / "magri-13.sexp").read_text()
+        one = tmp_path / "one-member.sexp"
+        one.write_text(text.replace("(scales (some all))", "(scales (some))"))
+        code, out, err = run_cli(capsys, command, "--explain", str(one))
+        assert (code, err) == (expected, "")
+        if command == "run":
+            assert "aggregate: felicitous" in out
+            assert "  ignorance: (or (some italian warm)) => (none)" in out
+        else:
+            assert out.startswith("MISMATCH magri-13: expected odd, got felicitous")
+
     @pytest.mark.parametrize(
         "sections, q",
         [

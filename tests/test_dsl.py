@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from felicity import (
     ALL,
@@ -24,12 +24,14 @@ from felicity import (
     PredicateSym,
     QI,
     Quant,
+    Quantifier,
     Scenario,
     ScenarioError,
     SOME,
     THEORY_NAMES,
     TRUE,
     Verdict,
+    WellFormednessError,
     build_report,
     judge,
     parse_lf,
@@ -184,6 +186,35 @@ def _lfs(depth):
     )
 
 
+# Candidate predicate names: identifiers, keywords of the grammar, and any
+# short text at all. PredicateSym refuses the names the reader would not read.
+_NAMES = st.one_of(
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,5}", fullmatch=True),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,5}"),  # with anything around it
+    st.sampled_from(["some", "qi", "true", "not", "and", "or", "only", "and-seq", "know"]),
+    st.text(max_size=6),
+)
+
+
+def _lfs_over(preds):
+    """Forms over the given stative predicates, at any nesting."""
+    scopes = st.recursive(
+        st.one_of(st.sampled_from([Atom(p) for p in preds]), st.just(TRUE)),
+        lambda sub: st.one_of(st.builds(NotP, sub), st.builds(AndConc, sub, sub)),
+        max_leaves=4,
+    )
+    quants = st.builds(Quant, st.sampled_from(list(Quantifier)), st.sampled_from(preds), scopes)
+    return st.recursive(
+        st.one_of(quants, st.builds(Only, quants)),
+        lambda sub: st.one_of(
+            st.builds(NotLF, sub),
+            st.builds(AndLF, sub, sub),
+            st.builds(OrLF, st.lists(sub, min_size=1, max_size=3).map(tuple)),
+        ),
+        max_leaves=6,
+    )
+
+
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(_lfs(5))
@@ -205,6 +236,24 @@ class TestRoundTrip:
             parse_lf(blob.decode("utf-8", errors="replace"), PREDS)
         except ParseError:
             pass
+
+    @pytest.mark.parametrize("name", ["a b", "(c", "a\n", "some", "and-conc", "true", "", "_x", "1a", 5])
+    def test_a_predicate_name_the_reader_cannot_read_is_refused(self, name):
+        with pytest.raises(WellFormednessError, match="predicate name must be an identifier"):
+            PredicateSym(name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_NAMES, min_size=1, max_size=3, unique=True), st.data())
+    def test_every_form_over_any_accepted_names_parses_back_to_itself(self, names, data):
+        preds = []
+        for name in names:
+            try:
+                preds.append(PredicateSym(name))
+            except WellFormednessError:
+                pass
+        assume(preds)
+        lf = data.draw(_lfs_over(preds))
+        assert parse_lf(render_lf(lf), preds) is lf
 
 
 SCENARIO_4 = """(scenario magri-4

@@ -406,7 +406,6 @@ class TestScaleInsensitivity:
     def test_fixture_verdicts_survive_a_richer_scale(self, full_registry):
         # the shipped fixtures pin the two-member scale for exact
         # strengthened forms; the verdicts themselves must not depend on it
-        from dataclasses import replace
         from pathlib import Path
 
         from felicity import parse_scenario
@@ -415,7 +414,7 @@ class TestScaleInsensitivity:
         for path in sorted(fixtures.glob("*.sexp")):
             scenario = parse_scenario(path.read_text(), source=str(path))
             baseline = judge(scenario)
-            richer = judge(replace(scenario, scales=full_registry))
+            richer = judge(scenario._replace(scales=full_registry))
             assert richer.aggregate == baseline.aggregate, path.name
             assert [
                 (v.theory, v.verdict, v.mechanism) for v in richer.theories

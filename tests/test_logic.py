@@ -8,7 +8,6 @@ asserted, so the two routes never collapse into one.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 import sys
 import threading
@@ -659,10 +658,10 @@ class TestInterning:
         assert copy.copy(form) is form
         assert copy.deepcopy(form) is form
         assert copy.deepcopy([form, (form.body,)]) == [form, (form.body,)]
-        assert dataclasses.replace(form.body, quantifier=ALL) is all_(
+        assert form.body._replace(quantifier=ALL) is all_(
             ITALIAN, AndConc(Atom(WARM), Atom(BLOND))
         )
-        assert dataclasses.replace(form) is form
+        assert form._replace() is form
 
     def test_equality_and_hash_are_identity(self):
         # equal live nodes are one object, so object's own slots decide
@@ -789,7 +788,7 @@ def _rebuild(node):
     if isinstance(node, tuple):
         return tuple(_rebuild(x) for x in node)
     if isinstance(node, logic.Interned):
-        return type(node)(*(_rebuild(getattr(node, f.name)) for f in dataclasses.fields(node)))
+        return type(node)(*(_rebuild(getattr(node, name)) for name in node.__match_args__))
     return node
 
 
@@ -802,8 +801,8 @@ def _structurally_equal(a, b) -> bool:
         )
     if isinstance(a, logic.Interned) or isinstance(b, logic.Interned):
         return type(a) is type(b) and all(
-            _structurally_equal(getattr(a, f.name), getattr(b, f.name))
-            for f in dataclasses.fields(a)
+            _structurally_equal(getattr(a, name), getattr(b, name))
+            for name in a.__match_args__
         )
     return type(a) is type(b) and a == b
 
@@ -825,9 +824,9 @@ _NODE_IDS = [type(node).__name__ for node in _NODES]
 
 
 class TestInternedContract:
-    """What ``Interned`` gives every node class in place of the
-    ``__init__``, ``__repr__`` and frozen ``__setattr__`` that a
-    ``@dataclass(frozen=True)`` would generate for it."""
+    """What ``Interned`` gives every node class: fields read from its
+    annotations, ``__init__``, ``__repr__``, ``_replace`` and a frozen
+    ``__setattr__``, written once for all of them."""
 
     def test_the_sample_covers_every_node_class(self):
         assert sorted(_NODE_IDS) == sorted(c.__name__ for c in _interned_classes())
@@ -835,16 +834,17 @@ class TestInternedContract:
 
     @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
     def test_fields_cannot_be_assigned_or_deleted(self, node):
-        for name in [f.name for f in dataclasses.fields(node)] + ["other"]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+        assert issubclass(logic.FrozenInstanceError, AttributeError)
+        for name in type(node).__match_args__ + ("other",):
+            with pytest.raises(logic.FrozenInstanceError):
                 setattr(node, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(logic.FrozenInstanceError):
                 delattr(node, name)
         assert node == type(node)(*node._fields())
 
     @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
     def test_repr_has_the_dataclass_format(self, node):
-        fields = ", ".join(f"{f.name}={getattr(node, f.name)!r}" for f in dataclasses.fields(node))
+        fields = ", ".join(f"{name}={getattr(node, name)!r}" for name in node.__match_args__)
         assert repr(node) == f"{type(node).__qualname__}({fields})"
 
     def test_repr_of_a_nested_form(self):
@@ -855,10 +855,12 @@ class TestInternedContract:
         )
 
     @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
-    def test_the_dataclass_api_still_works(self, node):
-        assert dataclasses.is_dataclass(node)
-        assert tuple(f.name for f in dataclasses.fields(node)) == type(node).__match_args__
-        assert dataclasses.replace(node) is node
+    def test_fields_match_args_and_replace(self, node):
+        names = type(node).__match_args__
+        assert names == tuple(type(node).__annotations__)
+        assert node._fields() == tuple(getattr(node, name) for name in names)
+        assert node._replace() is node
+        assert type(node)(**dict(zip(names, node._fields()))) is node
         assert pickle.loads(pickle.dumps(node)) is node
         # the intern table holds it under the key of its fields
         assert logic._INTERNED[(type(node), *node._fields())]() is node
@@ -875,7 +877,11 @@ class TestInternedContract:
         assert Scale(members).ranks == (1, 1, 1)
         assert Scale(members) is Scale(members, (1, 1, 1))
         assert Scale(members, ()) is Scale(members)  # __post_init__ rebinds the ranks
-        assert dataclasses.replace(clause, quantifier=ALL) is all_(ITALIAN, Atom(WARM))
+        assert clause._replace(quantifier=ALL) is all_(ITALIAN, Atom(WARM))
+        assert PredicateSym._defaults == {"temporal_class": "stative"}
+        assert Scale._defaults == {"ranks": ()} and Quant._defaults == {}
+        with pytest.raises(TypeError, match=r"Quant\(\): got an unexpected keyword argument 'x'"):
+            clause._replace(x=1)
 
     @pytest.mark.parametrize(
         "build, message",
@@ -909,6 +915,49 @@ class TestInternedContract:
         second = Scale((SOME, MOST), (3, 5))
         assert Scale((SOME, MOST), (3, 5)) is second
         assert built == [((SOME, ALL), (3, 5)), ((SOME, MOST), (3, 5))]
+
+
+class TestRecords:
+    """The engine's records (``logic.record``) are slotted namedtuples that
+    equal only records of their own class, and whose ``_replace`` builds
+    through the constructor."""
+
+    def test_records_of_different_classes_with_equal_fields_differ(self):
+        from felicity import Alternative, Presup, Tag
+
+        clause = some(ITALIAN, Atom(WARM))
+        alt = Alternative(clause, Tag.STRONGER)
+        assert alt == Alternative(form=clause, tag=Tag.STRONGER)
+        assert hash(alt) == hash(Alternative(clause, Tag.STRONGER)) == hash((clause, Tag.STRONGER))
+        assert alt != Presup(clause, Tag.STRONGER) and not alt == Presup(clause, Tag.STRONGER)
+        assert alt != (clause, Tag.STRONGER) and not alt == (clause, Tag.STRONGER)
+        assert (clause, Tag.STRONGER) != alt and not (clause, Tag.STRONGER) == alt
+        assert [alt] != [(clause, Tag.STRONGER)]
+
+    def test_fields_replace_and_no_instance_dict(self):
+        from felicity import ContextState, default_registry
+
+        ctx = ContextState(preds=ITALIAN_PREDS)
+        assert ContextState._fields == ("common_knowledge", "discourse", "preds", "bound", "scales")
+        assert ctx._asdict()["bound"] == 4
+        assert ctx.scales is default_registry()  # a None default, normalized
+        assert ctx._replace(bound=3) == ContextState(preds=ITALIAN_PREDS, bound=3)
+        assert not hasattr(ctx, "__dict__")
+        with pytest.raises(AttributeError):
+            ctx.bound = 3
+
+    def test_replace_normalizes_and_validates(self):
+        from felicity import AlternativeSet, Alternative, ContextState, Tag
+        from felicity.context import InconsistentContextError
+
+        clause = some(ITALIAN, Atom(WARM))
+        ctx = ContextState(preds=ITALIAN_PREDS)
+        assert ctx._replace(discourse=[clause]).discourse == (clause,)
+        with pytest.raises(InconsistentContextError):
+            ctx._replace(discourse=(clause, NotLF(clause)))
+        alts = AlternativeSet(clause, ())
+        with pytest.raises(ValueError, match="not its own alternative"):
+            alts._replace(members=(Alternative(clause, Tag.WEAKER),))
 
 
 def _epistemic_forms(preds, depth):
@@ -1028,11 +1077,11 @@ def _walk(node):
         if isinstance(x, tuple):
             for y in x:
                 visit(y)
-        elif dataclasses.is_dataclass(x):
+        elif isinstance(x, logic.Interned):
             nodes.append(x)
             if not isinstance(x, PredicateSym):
-                for f in dataclasses.fields(x):
-                    visit(getattr(x, f.name))
+                for name in x.__match_args__:
+                    visit(getattr(x, name))
 
     visit(node)
     return nodes
