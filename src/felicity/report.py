@@ -6,9 +6,15 @@ The JSON layout is stable and round-trips losslessly:
      "theories": [{"name", "verdict", "mechanism",
                    "trace": [{"rule", "inputs": [...], "output"}]}],
      "continuations": [{"form", "verdict"}]}
+
+``_json`` is its one definition. It writes the text straight from a
+``Report``, byte for byte as ``json.dumps`` writes the dict above, and
+``report_to_dict`` parses that text.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .dsl import render_lf
 from .judge import Judgment, Mechanism, TraceStep
@@ -43,49 +49,69 @@ def build_report(name: str, judgment: Judgment) -> Report:
 
 
 def report_to_dict(report: Report) -> dict:
-    return {
-        "scenario": report.scenario,
-        "reading": report.reading,
-        "aggregate": report.aggregate,
-        "theories": [
-            {
-                "name": row.name,
-                "verdict": row.verdict,
-                "mechanism": row.mechanism,
-                "trace": [
-                    {"rule": s.rule, "inputs": list(s.inputs), "output": s.output}
-                    for s in row.trace
-                ],
-            }
-            for row in report.theories
-        ],
-        "continuations": [
-            {"form": form, "verdict": verdict} for form, verdict in report.continuations
-        ],
-    }
+    """The report as the dict that its JSON text parses to."""
+    import json
+
+    return json.loads(render_report(report, "json"))
 
 
 def report_from_dict(data: dict) -> Report:
+    """The report that ``report_to_dict`` turned into ``data``. Raises
+    ``ValueError`` naming the key of any value of the wrong type or shape."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a report must be an object, got {type(data).__name__}")
     return Report(
-        scenario=data["scenario"],
-        reading=data["reading"],
-        aggregate=data["aggregate"],
+        scenario=_get(data, "scenario", str),
+        reading=_get(data, "reading", str),
+        aggregate=_get(data, "aggregate", str),
         theories=tuple(
             TheoryRow(
-                name=row["name"],
-                verdict=row["verdict"],
-                mechanism=row["mechanism"],
+                name=_get(row, "name", str, at),
+                verdict=_get(row, "verdict", str, at),
+                mechanism=_get(row, "mechanism", str, at),
                 trace=tuple(
-                    TraceStep(s["rule"], tuple(s["inputs"]), s["output"])
-                    for s in row["trace"]
+                    TraceStep(
+                        _get(s, "rule", str, step_at),
+                        tuple(x for _, x in _items(s, "inputs", str, step_at)),
+                        _get(s, "output", str, step_at),
+                    )
+                    for step_at, s in _items(row, "trace", dict, at)
                 ),
             )
-            for row in data["theories"]
+            for at, row in _items(data, "theories", dict)
         ),
         continuations=tuple(
-            (c["form"], c["verdict"]) for c in data["continuations"]
+            (_get(c, "form", str, at), _get(c, "verdict", str, at))
+            for at, c in _items(data, "continuations", dict)
         ),
     )
+
+
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _expect(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"report key {path!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _get(data: dict, key: str, kind: type, at: str = ""):
+    """``data[key]``, checked to be a ``kind``; ``at`` is the path to ``data``."""
+    path = f"{at}.{key}" if at else key
+    if key not in data:
+        raise ValueError(f"report key {path!r} is missing")
+    return _expect(data[key], kind, path)
+
+
+def _items(data: dict, key: str, kind: type, at: str = "") -> list[tuple[str, object]]:
+    """The list ``data[key]`` as (path, item) pairs, each item checked to be
+    a ``kind``."""
+    path = f"{at}.{key}" if at else key
+    return [
+        (f"{path}[{i}]", _expect(item, kind, f"{path}[{i}]"))
+        for i, item in enumerate(_get(data, key, list, at))
+    ]
 
 
 def _table(report: Report) -> str:
@@ -109,15 +135,49 @@ def _table(report: Report) -> str:
     return "\n".join(lines)
 
 
+# json.dumps's own escaper: ASCII only, "\uXXXX" for the rest.
+_quote = None
+
+
 def render_report(report: Report, format: str = "table") -> str:
     """Render a report as an aligned table or a single-line JSON object."""
     if format == "table":
         return _table(report)
     if format == "json":
-        import json  # here, not at the top: start-up does not need it
+        global _quote
+        if _quote is None:  # bound here, not at the top: start-up loads no json
+            from json.encoder import encode_basestring_ascii
 
-        return json.dumps(report_to_dict(report))
+            _quote = encode_basestring_ascii
+        return _json(report)
     raise ValueError(f"unknown report format {format!r}")
+
+
+def _json(report: Report) -> str:
+    """``json.dumps`` of the layout in the module docstring, written directly."""
+    q = _quote
+    theories = ", ".join(
+        f'{{"name": {q(row.name)}, "verdict": {q(row.verdict)},'
+        f' "mechanism": {q(row.mechanism)}, "trace": [{", ".join(map(_step_json, row.trace))}]}}'
+        for row in report.theories
+    )
+    continuations = ", ".join(
+        f'{{"form": {q(form)}, "verdict": {q(verdict)}}}' for form, verdict in report.continuations
+    )
+    return (
+        f'{{"scenario": {q(report.scenario)}, "reading": {q(report.reading)},'
+        f' "aggregate": {q(report.aggregate)}, "theories": [{theories}],'
+        f' "continuations": [{continuations}]}}'
+    )
+
+
+@lru_cache(maxsize=4096)
+def _step_json(step: TraceStep) -> str:
+    """One trace step's JSON text. Warm judgments repeat their steps, so
+    most reports join cached text."""
+    rule, inputs, output = step
+    q = _quote
+    return f'{{"rule": {q(rule)}, "inputs": [{", ".join(map(q, inputs))}], "output": {q(output)}}}'
 
 
 def render_traces(report: Report) -> str:

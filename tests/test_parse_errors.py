@@ -20,7 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from felicity import FelicityError, parse_scenario
+from felicity import (
+    FelicityError,
+    build_report,
+    judge,
+    parse_scenario,
+    render_report,
+    render_traces,
+    report_from_dict,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "parse_errors.jsonl"
@@ -90,6 +98,35 @@ def test_every_fixture_is_pinned():
 @pytest.mark.parametrize("fixture", FIXTURES, ids=[f.stem for f in FIXTURES])
 def test_mutated_fixture_outcomes_match(fixture):
     assert observed(fixture) == _golden()[fixture.stem]
+
+
+def _parsing_cases() -> list:
+    golden = _golden()
+    return [
+        pytest.param(text, id=f"{fixture.stem}-{i}-{kind}")
+        for fixture in FIXTURES
+        for (i, kind, text), case in zip(cases(fixture), golden[fixture.stem])
+        if case["outcome"] == "ok"
+    ]
+
+
+PARSING = _parsing_cases()
+
+
+def test_parsing_cases_are_counted():
+    assert len(PARSING) == 66
+
+
+@pytest.mark.parametrize("text", PARSING)
+def test_parsing_case_runs_through_the_pipeline(text):
+    scenario = parse_scenario(text)
+    try:
+        report = build_report(scenario.name, judge(scenario))
+    except FelicityError:
+        return
+    render_report(report, "table")
+    render_traces(report)
+    assert report_from_dict(json.loads(render_report(report, "json"))) == report
 
 
 if __name__ == "__main__":

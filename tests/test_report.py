@@ -1,0 +1,145 @@
+"""The JSON report writer and ``report_from_dict``'s input checks.
+
+``render_report(r, "json")`` writes the text straight from the report. It
+must be byte-identical to ``json.dumps`` of the documented dict layout,
+which ``_layout`` below spells out independently of the writer.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from felicity import build_report, judge, parse_scenario, render_report
+from felicity.judge import TraceStep
+from felicity.report import Report, TheoryRow, _step_json, report_from_dict, report_to_dict
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _layout(report: Report) -> dict:
+    """The JSON layout of a report, as documented in the README."""
+    return {
+        "scenario": report.scenario,
+        "reading": report.reading,
+        "aggregate": report.aggregate,
+        "theories": [
+            {
+                "name": row.name,
+                "verdict": row.verdict,
+                "mechanism": row.mechanism,
+                "trace": [
+                    {"rule": s.rule, "inputs": list(s.inputs), "output": s.output}
+                    for s in row.trace
+                ],
+            }
+            for row in report.theories
+        ],
+        "continuations": [{"form": form, "verdict": verdict} for form, verdict in report.continuations],
+    }
+
+
+# Any code point, lone surrogates included, with the characters JSON
+# escapes drawn often.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x08\x1f\x7fé 𐏿\U0001f600'),
+    ),
+    max_size=12,
+)
+
+
+def _tuples(items, n: int):
+    return st.lists(items, max_size=n).map(tuple)
+
+
+_STEPS = st.builds(TraceStep, _TEXT, _tuples(_TEXT, 3), _TEXT)
+_ROWS = st.builds(TheoryRow, _TEXT, _TEXT, _TEXT, _tuples(_STEPS, 4))
+_REPORTS = st.builds(
+    Report, _TEXT, _TEXT, _TEXT, _tuples(_ROWS, 3), _tuples(st.tuples(_TEXT, _TEXT), 3)
+)
+
+
+def _fixture_report(name: str) -> Report:
+    s = parse_scenario((ROOT / "fixtures" / f"{name}.sexp").read_text(encoding="utf-8"))
+    return build_report(s.name, judge(s))
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_REPORTS)
+    def test_matches_json_dumps_and_round_trips(self, report):
+        text = render_report(report, "json")
+        assert text == json.dumps(_layout(report))
+        assert report_from_dict(json.loads(text)) == report
+        assert report_to_dict(report) == _layout(report)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REPORTS)
+    def test_second_render_joins_cached_steps(self, report):
+        first = render_report(report, "json")
+        hits = _step_json.cache_info().hits
+        assert render_report(report, "json") == first
+        assert _step_json.cache_info().hits - hits == sum(len(row.trace) for row in report.theories)
+
+    def test_step_cache_is_bounded(self):
+        assert _step_json.cache_info().maxsize is not None
+
+
+def _changed(data: dict, path: tuple, value) -> dict:
+    """A copy of ``data`` with the value at ``path`` replaced."""
+    data = copy.deepcopy(data)
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+class TestReportFromDict:
+    @pytest.fixture(scope="class")
+    def data(self) -> dict:
+        return report_to_dict(_fixture_report("magri-13"))
+
+    def test_accepts_a_rendered_report(self, data):
+        assert data["continuations"]
+        assert report_from_dict(data) == _fixture_report("magri-13")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            # A string is not split into its characters.
+            (("theories", 0, "trace", 0, "inputs"), "(some a b)",
+             "report key 'theories[0].trace[0].inputs' must be a list, got str"),
+            # A number is not rendered as a JSON number.
+            (("scenario",), 7, "report key 'scenario' must be a string, got int"),
+            (("continuations",), ["(all a b)"],
+             "report key 'continuations[0]' must be an object, got str"),
+            (("theories",), {}, "report key 'theories' must be a list, got dict"),
+            (("theories", 0, "trace", 0, "inputs", 0), None,
+             "report key 'theories[0].trace[0].inputs[0]' must be a string, got NoneType"),
+            (("theories", 2, "trace"), (), "report key 'theories[2].trace' must be a list, got tuple"),
+            (("continuations", 1, "verdict"), ["odd"],
+             "report key 'continuations[1].verdict' must be a string, got list"),
+        ],
+    )
+    def test_wrong_value_names_its_key(self, data, path, value, message):
+        with pytest.raises(ValueError) as info:
+            report_from_dict(_changed(data, path, value))
+        assert str(info.value) == message
+
+    def test_missing_key(self, data):
+        data = copy.deepcopy(data)
+        del data["theories"][1]["mechanism"]
+        with pytest.raises(ValueError, match=r"^report key 'theories\[1\]\.mechanism' is missing$"):
+            report_from_dict(data)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="^a report must be an object, got list$"):
+            report_from_dict([])
