@@ -24,7 +24,6 @@ from .logic import (
     NotP,
     Only,
     OrLF,
-    Poss,
     PredExpr,
     PredicateSym,
     QI,
@@ -39,10 +38,8 @@ from .logic import (
     consistent,
     entails,
     enumerate_models,
-    eval_pexpr,
     evaluate,
     expand_qi,
-    is_intersective_conjunction,
 )
 from .scales import Scale, ScaleRegistry, default_registry
 from .context import (
@@ -51,14 +48,12 @@ from .context import (
     UnsupportedNestingError,
     UpdateContradictionError,
     Verdict,
-    WorldSet,
     contextually_entails,
     continuation_felicity,
     k_holds,
     p_holds,
     settled_by_discourse,
     update_discourse,
-    worlds,
 )
 from .alternatives import (
     Alternative,

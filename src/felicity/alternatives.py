@@ -1,9 +1,10 @@
 """Scalar alternatives, exhaustification, ignorance inferences, presuppositions.
 
 Alternatives come from quantifier substitution only: at each quantified node
-a scale-mate no more complex than the original may be swapped in. Deletion
-and ellipsis alternatives are out; that is exactly why a conjoined-scope
-sentence has no bare-first-conjunct alternative.
+any scale-mate may be swapped in. An alternative must be no more complex than
+the original, and every quantifier here is one lexical item, so every
+scale-mate qualifies. Deletion and ellipsis alternatives are out; that is
+exactly why a conjoined-scope sentence has no bare-first-conjunct alternative.
 
 Exhaustification is blind by design: it is a pure function of the sentence
 and its alternative set, with no context parameter. Context enters earlier
@@ -90,15 +91,15 @@ class Presup(record("Presup", "content variant")):
 
 
 def _variants(lf: LogicalForm, scales: ScaleRegistry) -> list[LogicalForm]:
-    """All trees obtainable by independently substituting scale-mates of at
-    most the original complexity at each quantified node (original included)."""
+    """All trees obtainable by independently substituting scale-mates at each
+    quantified node (original included). Every quantifier is one lexical
+    item, so no scale-mate is more complex than the original it replaces."""
     if isinstance(lf, Quant):
         out = [lf]
         scale = scales.scale_for(lf.quantifier)
         if scale is not None:
             out += [
-                Quant(q, lf.restrictor, lf.scope)
-                for q in scale.mates_at_most_as_complex(lf.quantifier)
+                Quant(q, lf.restrictor, lf.scope) for q in scale.members if q is not lf.quantifier
             ]
         return out
     if isinstance(lf, Only):

@@ -16,12 +16,9 @@ from .logic import (
     DEFAULT_BOUND,
     FelicityError,
     LogicalForm,
-    Model,
     NotLF,
     consistent,
     entails,
-    enumerate_models,
-    evaluate,
     existence_premises,
     is_epistemic_free,
     record,
@@ -55,9 +52,6 @@ class UpdateContradictionError(FelicityError):
 
 class UnsupportedNestingError(FelicityError):
     """Certainty/possibility queries take epistemic-free forms only."""
-
-
-WorldSet = tuple[Model, ...]
 
 
 class ContextState(record("ContextState", "common_knowledge discourse preds bound scales")):
@@ -105,20 +99,6 @@ class ContextState(record("ContextState", "common_knowledge discourse preds boun
 def _require_plain(lf: LogicalForm):
     if not is_epistemic_free(lf):
         raise UnsupportedNestingError(f"nested epistemic operators unsupported: {lf!r}")
-
-
-def worlds(ctx: ContextState) -> WorldSet:
-    """All labeled models of size <= bound satisfying both context tiers.
-
-    Nonempty by the context consistency invariant; enumeration order is
-    canonical, so the result is deterministic. No engine path needs the
-    worlds themselves, so they are enumerated afresh on each call.
-    """
-    return tuple(
-        m
-        for m in enumerate_models(ctx.preds, ctx.bound)
-        if all(evaluate(lf, m, ctx.scales) for lf in ctx.facts)
-    )
 
 
 def k_holds(ctx: ContextState, lf: LogicalForm) -> bool:

@@ -48,7 +48,6 @@ from .logic import (
     NotP,
     Only,
     OrLF,
-    Poss,
     PredExpr,
     PredicateSym,
     Quant,
@@ -223,8 +222,8 @@ def render_pexpr(p: PredExpr) -> str:
 def render_lf(lf: LogicalForm) -> str:
     """Canonical text for a logical form; parse_lf(render_lf(x)) is x.
 
-    Certainty/possibility wrappers render as (know ...)/(poss ...) for
-    reports and traces, but are not part of the input grammar.
+    The certainty wrapper renders as (know ...) for reports and traces,
+    but is not part of the input grammar.
     """
     if isinstance(lf, Quant):
         return f"({lf.quantifier.value} {lf.restrictor.name} {render_pexpr(lf.scope)})"
@@ -238,8 +237,6 @@ def render_lf(lf: LogicalForm) -> str:
         return f"(or {' '.join(render_lf(d) for d in lf.disjuncts)})"
     if isinstance(lf, Know):
         return f"(know {render_lf(lf.body)})"
-    if isinstance(lf, Poss):
-        return f"(poss {render_lf(lf.body)})"
     raise TypeError(f"not a logical form: {lf!r}")
 
 

@@ -58,7 +58,7 @@ class DeclarationError(FelicityError):
 
 
 class EpistemicContextRequired(FelicityError):
-    """A certainty/possibility operator reached plain model evaluation."""
+    """A certainty operator reached plain model evaluation."""
 
 
 class ScaleError(FelicityError):
@@ -350,11 +350,6 @@ class Quantifier(Enum):
     # C where Enum's own __hash__ (the hash of the name) is Python code.
     __hash__ = object.__hash__
 
-    @property
-    def complexity_rank(self) -> int:
-        # Single lexical items all share rank 1; QI ranks 1 by stipulation.
-        return 1
-
 
 SOME = Quantifier.SOME
 ALL = Quantifier.ALL
@@ -418,17 +413,11 @@ class Know(Interned):
     body: "LogicalForm"
 
 
-class Poss(Interned):
-    """Possibility operator, the dual of Know."""
-
-    body: "LogicalForm"
-
-
-LogicalForm = _FORMS = (Quant, Only, NotLF, AndLF, OrLF, Know, Poss)
+LogicalForm = _FORMS = (Quant, Only, NotLF, AndLF, OrLF, Know)
 
 # What the engine asks of a node's whole subtree:
 # form: a logical form, not a predicate expression or symbol;
-# epistemic_free: no know or poss;
+# epistemic_free: no know;
 # preds: every predicate symbol, restrictors included;
 # restrictors: every quantifier restrictor;
 # eventive, seq, conc: an eventive predicate, an and-seq, an and-conc occurs.
@@ -449,7 +438,7 @@ def node_facts(node: Interned) -> NodeFacts:
         # The operands of a connective or operator must be forms; those of a
         # clause or a predicate expression are symbols and expressions.
         takes_forms = cls in _FORMS and cls is not Quant
-        free = cls is not Know and cls is not Poss
+        free = cls is not Know
         eventive, seq, conc = False, cls is AndSeq, cls is AndConc
         preds, restrictors = (), ((node.restrictor,) if cls is Quant else ())
         for value in node._fields():
@@ -504,15 +493,6 @@ def _existence_premises(lfs: tuple[LogicalForm, ...]) -> tuple[LogicalForm, ...]
         for r in _form_facts(lf).restrictors:
             restrictors.setdefault(r.name, r)
     return tuple(Quant(SOME, r, TRUE) for _, r in sorted(restrictors.items()))
-
-
-def is_intersective_conjunction(p: PredExpr) -> bool:
-    """False iff p contains a sequenced conjunction anywhere.
-
-    Sequenced events are not commutative, so a scope containing and-seq does
-    not denote an intersection and supports no concurrent-situation reading.
-    """
-    return not node_facts(p).seq
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +608,11 @@ def enumerate_models(preds: Sequence[PredicateSym], max_universe: int) -> Iterat
 # ---------------------------------------------------------------------------
 
 
-def eval_pexpr(p: PredExpr, m: Model, x: str) -> bool:
-    """Truth of a predicate expression at individual x.
-
-    and-seq evaluates like a conjunction here: the individual did both, in
-    order. The ordering itself lives at the reading level (see
-    is_intersective_conjunction), not in extensions.
-    """
-    if x not in m._index:
-        raise DeclarationError(f"{x!r} is not a member of the universe")
-    bit = 1 << m._index[x]
-    return bool(_pexpr_mask(p, m) & bit)
-
-
 def _pexpr_mask(p: PredExpr, m: Model) -> int:
+    """The individuals of m that satisfy p, as a bitmask over its universe.
+    and-seq denotes an intersection here: the individual did both, in
+    order. The ordering itself lives at the reading level, not in extensions.
+    """
     if isinstance(p, Atom):
         return m.mask(p.pred.name)
     if isinstance(p, TruePred):
@@ -693,9 +664,9 @@ def evaluate(lf: LogicalForm, m: Model, scales: "ScaleRegistry | None" = None) -
         return evaluate(lf.left, m, scales) and evaluate(lf.right, m, scales)
     if isinstance(lf, OrLF):
         return any(evaluate(d, m, scales) for d in lf.disjuncts)
-    if isinstance(lf, (Know, Poss)):
+    if isinstance(lf, Know):
         raise EpistemicContextRequired(
-            "know/poss cannot be evaluated against a single model; use an epistemic context"
+            "know cannot be evaluated against a single model; use an epistemic context"
         )
     raise TypeError(f"not a logical form: {lf!r}")
 
@@ -903,9 +874,9 @@ def _truth(
         for d in lf.disjuncts:
             out |= _truth(d, preds, bound, scales)
         return out
-    if isinstance(lf, (Know, Poss)):
+    if isinstance(lf, Know):
         raise EpistemicContextRequired(
-            "know/poss cannot be evaluated against a single model; use an epistemic context"
+            "know cannot be evaluated against a single model; use an epistemic context"
         )
     raise TypeError(f"not a logical form: {lf!r}")
 
@@ -1027,16 +998,12 @@ def expand_qi(restrictor: PredicateSym, scope: PredExpr, scale) -> OrLF:
     """Disjunction of scale-mate clauses standing in for the covert
     indefinite-number quantifier.
 
-    The disjuncts are every scale member at most as complex as ``some``
-    (including ``some`` itself), strongest first. The pragmatic content of
-    the indefinite lives entirely in this expansion; its truth conditions
-    are existential.
+    The disjuncts are every scale member, ``some`` included, strongest
+    first. Every quantifier here is one lexical item, so none is more
+    complex than ``some`` and each is a licit stand-in. The pragmatic
+    content of the indefinite lives entirely in this expansion; its truth
+    conditions are existential.
     """
-    members = tuple(scale.members)
-    if not members:
-        raise ScaleError("cannot expand over an empty scale")
-    if SOME not in members:
+    if SOME not in scale.members:
         raise ScaleError("expansion scale must contain 'some'")
-    cap = scale.rank_of(SOME)
-    qs = [q for q in reversed(members) if scale.rank_of(q) <= cap]
-    return OrLF(tuple(Quant(q, restrictor, scope) for q in qs))
+    return OrLF(tuple(Quant(q, restrictor, scope) for q in reversed(scale.members)))

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .context import Verdict
 from .dsl import render_lf
-from .judge import Judgment, Mechanism, TraceStep
+from .judge import RULES, Judgment, Mechanism, Reading, TraceStep
 from .logic import record
 
 
@@ -57,21 +58,23 @@ def report_to_dict(report: Report) -> dict:
 
 def report_from_dict(data: dict) -> Report:
     """The report that ``report_to_dict`` turned into ``data``. Raises
-    ``ValueError`` naming the key of any value of the wrong type or shape."""
+    ``ValueError`` naming the key of any value of the wrong type or shape,
+    and of a verdict, reading, mechanism or rule that the engine does not
+    have."""
     if not isinstance(data, dict):
         raise ValueError(f"a report must be an object, got {type(data).__name__}")
     return Report(
         scenario=_get(data, "scenario", str),
-        reading=_get(data, "reading", str),
-        aggregate=_get(data, "aggregate", str),
+        reading=_get(data, "reading", str, "", _READINGS),
+        aggregate=_get(data, "aggregate", str, "", _VERDICTS),
         theories=tuple(
             TheoryRow(
                 name=_get(row, "name", str, at),
-                verdict=_get(row, "verdict", str, at),
-                mechanism=_get(row, "mechanism", str, at),
+                verdict=_get(row, "verdict", str, at, _VERDICTS),
+                mechanism=_get(row, "mechanism", str, at, _MECHANISMS),
                 trace=tuple(
                     TraceStep(
-                        _get(s, "rule", str, step_at),
+                        _get(s, "rule", str, step_at, RULES),
                         tuple(x for _, x in _items(s, "inputs", str, step_at)),
                         _get(s, "output", str, step_at),
                     )
@@ -81,10 +84,15 @@ def report_from_dict(data: dict) -> Report:
             for at, row in _items(data, "theories", dict)
         ),
         continuations=tuple(
-            (_get(c, "form", str, at), _get(c, "verdict", str, at))
+            (_get(c, "form", str, at), _get(c, "verdict", str, at, _VERDICTS))
             for at, c in _items(data, "continuations", dict)
         ),
     )
+
+
+_VERDICTS = {v.value for v in Verdict}
+_READINGS = {r.value for r in Reading}
+_MECHANISMS = {m.value for m in Mechanism}
 
 
 _KINDS = {str: "a string", list: "a list", dict: "an object"}
@@ -96,12 +104,16 @@ def _expect(value, kind: type, path: str):
     return value
 
 
-def _get(data: dict, key: str, kind: type, at: str = ""):
-    """``data[key]``, checked to be a ``kind``; ``at`` is the path to ``data``."""
+def _get(data: dict, key: str, kind: type, at: str = "", values=None):
+    """``data[key]``, checked to be a ``kind`` and, given ``values``, one of
+    them; ``at`` is the path to ``data``."""
     path = f"{at}.{key}" if at else key
     if key not in data:
         raise ValueError(f"report key {path!r} is missing")
-    return _expect(data[key], kind, path)
+    value = _expect(data[key], kind, path)
+    if values is not None and value not in values:
+        raise ValueError(f"report key {path!r} has unknown value {value!r}")
+    return value
 
 
 def _items(data: dict, key: str, kind: type, at: str = "") -> list[tuple[str, object]]:

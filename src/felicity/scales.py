@@ -57,7 +57,6 @@ class Scale(Interned):
     strength order of a member sequence is verified once per process."""
 
     members: tuple[Quantifier, ...]
-    ranks: tuple[int, ...] = ()
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -67,20 +66,10 @@ class Scale(Interned):
         if len(set(members)) != len(members):
             listed = " ".join(q.value for q in members)
             raise ScaleError(f"duplicate members in scale ({listed})")
-        ranks = tuple(self.ranks) or tuple(q.complexity_rank for q in members)
-        if len(ranks) != len(members):
-            raise ScaleError("one complexity rank per scale member required")
-        object.__setattr__(self, "ranks", ranks)
         _verify_strength_order(members)
 
     def __contains__(self, q: Quantifier) -> bool:
         return q in self.members
-
-    def rank_of(self, q: Quantifier) -> int:
-        try:
-            return self.ranks[self.members.index(q)]
-        except ValueError:
-            raise ScaleError(f"{q.value!r} is not on this scale") from None
 
     def stronger_mates(self, q: Quantifier) -> tuple[Quantifier, ...]:
         """Members strictly after q, i.e. strictly stronger than it."""
@@ -89,11 +78,6 @@ class Scale(Interned):
         except ValueError:
             raise ScaleError(f"{q.value!r} is not on this scale") from None
         return self.members[i + 1 :]
-
-    def mates_at_most_as_complex(self, q: Quantifier) -> tuple[Quantifier, ...]:
-        """Substitution candidates for q: other members with rank <= q's."""
-        cap = self.rank_of(q)
-        return tuple(m for m in self.members if m is not q and self.rank_of(m) <= cap)
 
 
 class ScaleRegistry(Interned):

@@ -1,4 +1,4 @@
-"""Two-tier context: worlds, certainty/possibility, updates, settledness."""
+"""Two-tier context: construction, certainty/possibility, updates, settledness."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from felicity import (
     p_holds,
     settled_by_discourse,
     update_discourse,
-    worlds,
 )
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, WARM
 
@@ -45,6 +44,7 @@ def all_(r, s):
 ALL_WARM = all_(ITALIAN, Atom(WARM))
 EXIST = some(ITALIAN, TRUE)
 SOME_WARM = some(ITALIAN, Atom(WARM))
+POOL = [ALL_WARM, SOME_WARM, EXIST, NotLF(ALL_WARM)]
 
 
 def ctx_with(ck=(), discourse=(), preds=(ITALIAN, WARM), bound=4):
@@ -53,18 +53,24 @@ def ctx_with(ck=(), discourse=(), preds=(ITALIAN, WARM), bound=4):
     )
 
 
-class TestWorlds:
+def _knows_less(updated, ctx):
+    """Over the pool, updated is certain of all that ctx is certain of, and
+    finds possible only what ctx finds possible."""
+    for lf in POOL:
+        assert not k_holds(ctx, lf) or k_holds(updated, lf), lf
+        assert not p_holds(updated, lf) or p_holds(ctx, lf), lf
+
+
+class TestConstruction:
     def test_unconstrained_single_pred_bound_one(self):
         ctx = ctx_with(preds=(ITALIAN,), bound=1)
-        assert len(worlds(ctx)) == 3
+        for lf in (EXIST, NotLF(EXIST)):
+            assert p_holds(ctx, lf) and not k_holds(ctx, lf)
 
     def test_constrained_worlds_satisfy_facts(self):
         ctx = ctx_with(ck=(ALL_WARM, EXIST))
-        ws = worlds(ctx)
-        assert ws
-        for m in ws:
-            assert m.extension("italian") <= m.extension("warm")
-            assert m.extension("italian")
+        assert k_holds(ctx, ALL_WARM) and k_holds(ctx, EXIST)
+        assert k_holds(ctx, SOME_WARM) and not p_holds(ctx, NotLF(ALL_WARM))
 
     def test_inconsistent_construction_rejected(self):
         with pytest.raises(InconsistentContextError):
@@ -190,9 +196,8 @@ class TestUpdate:
         ctx = ctx_with()
         updated = update_discourse(ctx, ALL_WARM)
         assert ctx.discourse == ()  # original untouched
-        assert set(worlds(updated)) <= set(worlds(ctx))
-        for m in worlds(updated):
-            assert m.extension("italian") <= m.extension("warm")
+        _knows_less(updated, ctx)
+        assert k_holds(updated, ALL_WARM) and not k_holds(ctx, ALL_WARM)
 
     def test_contradictory_update_raises(self):
         ctx = ctx_with(ck=(ALL_WARM, EXIST))
@@ -204,14 +209,16 @@ class TestUpdate:
     def test_tautology_leaves_worlds_unchanged(self):
         ctx = ctx_with(ck=(SOME_WARM,))
         updated = update_discourse(ctx, OrLF((ALL_WARM, NotLF(ALL_WARM))))
-        assert worlds(updated) == worlds(ctx)
+        for lf in POOL:
+            assert k_holds(updated, lf) == k_holds(ctx, lf), lf
+            assert p_holds(updated, lf) == p_holds(ctx, lf), lf
 
     def test_update_is_monotone_over_pool(self):
-        pool = [ALL_WARM, SOME_WARM, EXIST, NotLF(ALL_WARM)]
         ctx = ctx_with()
-        for lf in pool:
+        for lf in POOL:
             updated = update_discourse(ctx, lf)
-            assert set(worlds(updated)) <= set(worlds(ctx))
+            _knows_less(updated, ctx)
+            assert k_holds(updated, lf)
 
 
 class TestContinuationFelicity:

@@ -1,14 +1,23 @@
-"""Golden output: the JSON report with traces of every fixture at bounds 3-5.
+"""Golden output: the JSON report with traces of every fixture at bounds 3-5,
+and the default text output of every fixture.
 
-The files under ``tests/data/`` hold the exact output of
+The ``*.json`` files under ``tests/data/`` hold the exact output of
 
     felicity run --format json --explain --bound N fixtures/<name>.sexp
 
-so any change to verdicts, mechanisms, traces or JSON layout shows up as a
-byte difference. Regenerate them with that command only when a change of
-output is intended, and say so in ``CHANGES.md``. Every step recorded in
-them must also replay, read back from the JSON, against its scenario's
-context at that bound.
+and ``run-explain.txt`` and ``check.txt`` that of
+
+    LC_ALL=C felicity run --explain fixtures/*.sexp
+    LC_ALL=C felicity check fixtures/*.sexp
+
+(``LC_ALL=C`` makes the shell list the fixtures in ``sorted()`` path
+order, as the test does)
+
+so any change to verdicts, mechanisms, traces, the table or the JSON layout
+shows up as a byte difference. Regenerate them with those commands only
+when a change of output is intended, and say so in ``CHANGES.md``. Every
+step recorded in the JSON files must also replay, read back from the JSON,
+against its scenario's context at that bound.
 """
 
 from __future__ import annotations
@@ -45,6 +54,15 @@ def test_json_explain_matches_golden(capsys, fixture, bound):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / f"{fixture.stem}.bound{bound}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, golden", [(["run", "--explain"], "run-explain.txt"), (["check"], "check.txt")]
+)
+def test_text_output_matches_golden(capsys, command, golden):
+    code = main([*command, *map(str, FIXTURES)])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("seed", ["0", "4242"])

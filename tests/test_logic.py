@@ -31,7 +31,6 @@ from felicity import (
     NotP,
     Only,
     OrLF,
-    Poss,
     PredicateSym,
     QI,
     Quant,
@@ -49,10 +48,8 @@ from felicity import (
     consistent,
     entails,
     enumerate_models,
-    eval_pexpr,
     evaluate,
     expand_qi,
-    is_intersective_conjunction,
     parse_lf,
     render_lf,
     substitution_alternatives,
@@ -82,42 +79,39 @@ def no(r, s):
 # ---------------------------------------------------------------------------
 
 
-class TestEvalPexpr:
+def holds_of_one(p, extensions):
+    """Whether the only individual, a, satisfies p: ``(some italian p)`` in
+    a model whose universe and whose italians are just a."""
+    return evaluate(some(ITALIAN, p), Model(["a"], {"italian": ["a"], **extensions}))
+
+
+class TestPredicateExpressions:
     def test_atom_membership(self):
-        m = Model(["a"], {"warm": ["a"]})
-        assert eval_pexpr(Atom(WARM), m, "a") is True
+        assert holds_of_one(Atom(WARM), {"warm": ["a"]}) is True
 
     def test_conc_empty_intersection_at_individual(self):
-        m = Model(["a", "b"], {"warm": ["a"], "blond": ["b"]})
-        assert eval_pexpr(AndConc(Atom(WARM), Atom(BLOND)), m, "a") is False
+        conc = AndConc(Atom(WARM), Atom(BLOND))
+        assert holds_of_one(conc, {"warm": ["a"], "blond": []}) is False
 
     def test_conc_intersection_member(self):
         # direct evaluation of the warm-and-blond intersection
-        m = Model(["a", "b"], {"warm": ["a", "b"], "blond": ["b"]})
-        assert eval_pexpr(AndConc(Atom(WARM), Atom(BLOND)), m, "b") is True
+        conc = AndConc(Atom(WARM), Atom(BLOND))
+        assert holds_of_one(conc, {"warm": ["a"], "blond": ["a"]}) is True
 
     def test_negation_is_complement(self):
-        m = Model(["a", "b"], {"warm": ["a"]})
-        assert eval_pexpr(NotP(Atom(WARM)), m, "b") is True
-        assert eval_pexpr(NotP(Atom(WARM)), m, "a") is False
+        assert holds_of_one(NotP(Atom(WARM)), {"warm": []}) is True
+        assert holds_of_one(NotP(Atom(WARM)), {"warm": ["a"]}) is False
 
     def test_true_holds_everywhere(self):
-        m = Model(["a"], {"warm": []})
-        assert eval_pexpr(TRUE, m, "a") is True
+        assert holds_of_one(TRUE, {"warm": []}) is True
 
     def test_undeclared_atom_raises(self):
-        m = Model(["a"], {"warm": ["a"]})
         with pytest.raises(DeclarationError):
-            eval_pexpr(Atom(BLOND), m, "a")
-
-    def test_nonmember_individual_raises(self):
-        m = Model(["a"], {"warm": ["a"]})
-        with pytest.raises(DeclarationError):
-            eval_pexpr(Atom(WARM), m, "z")
+            holds_of_one(Atom(BLOND), {"warm": ["a"]})
 
     def test_andseq_truth_is_conjunction(self):
-        m = Model(["a"], {"won": ["a"], "left": ["a"]})
-        assert eval_pexpr(AndSeq(Atom(WON), Atom(LEFT)), m, "a") is True
+        seq = AndSeq(Atom(WON), Atom(LEFT))
+        assert holds_of_one(seq, {"won": ["a"], "left": ["a"]}) is True
 
     def test_andseq_requires_eventive_conjuncts(self):
         with pytest.raises(WellFormednessError):
@@ -406,14 +400,12 @@ class TestQuantifierProperties:
             assert evaluate(left, m) == evaluate(right, m)
 
     def test_seq_non_intersective_regardless_of_order(self):
-        assert is_intersective_conjunction(AndSeq(Atom(WON), Atom(LEFT))) is False
-        assert is_intersective_conjunction(AndSeq(Atom(LEFT), Atom(WON))) is False
-        assert is_intersective_conjunction(AndConc(Atom(WARM), Atom(BLOND))) is True
-        assert is_intersective_conjunction(Atom(WARM)) is True
-        assert (
-            is_intersective_conjunction(AndConc(Atom(WON), AndSeq(Atom(WON), Atom(LEFT))))
-            is False
-        )
+        # the seq fact: an and-seq occurs, so the scope is no intersection
+        assert logic.node_facts(AndSeq(Atom(WON), Atom(LEFT))).seq is True
+        assert logic.node_facts(AndSeq(Atom(LEFT), Atom(WON))).seq is True
+        assert logic.node_facts(AndConc(Atom(WARM), Atom(BLOND))).seq is False
+        assert logic.node_facts(Atom(WARM)).seq is False
+        assert logic.node_facts(AndConc(Atom(WON), AndSeq(Atom(WON), Atom(LEFT)))).seq is True
 
     def test_scale_monotonicity_on_nonempty_restrictors(self):
         preds = (ITALIAN, WARM)
@@ -478,19 +470,6 @@ class TestScales:
         m = Model(["a"], {"italian": ["a"], "warm": []})
         with pytest.raises(ScaleError):
             evaluate(Only(no(ITALIAN, Atom(WARM))), m, full_registry)
-
-    def test_complexity_ranks_gate_substitution_and_expansion(self):
-        from felicity import Scale, substitution_alternatives, ScaleRegistry
-
-        # a costlier strong member is never substituted in for a cheap one
-        lopsided = Scale((SOME, ALL), ranks=(1, 2))
-        assert lopsided.mates_at_most_as_complex(SOME) == ()
-        assert lopsided.mates_at_most_as_complex(ALL) == (SOME,)
-        registry = ScaleRegistry((lopsided,))
-        alts = substitution_alternatives(some(ITALIAN, Atom(WARM)), registry)
-        assert alts.members == ()
-        expansion = expand_qi(ITALIAN, Atom(WARM), lopsided)
-        assert render_lf(expansion) == "(or (some italian warm))"
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +692,7 @@ class TestInterning:
         from felicity import Scale, ScaleRegistry
 
         scale = Scale((SOME, ALL))
-        assert Scale([SOME, ALL], ranks=(1, 1)) is scale
+        assert Scale([SOME, ALL]) is scale  # a list call, stored as a tuple
         assert ScaleRegistry([scale]) is ScaleRegistry((Scale((SOME, ALL)),))
 
     def test_a_repeated_scale_clause_is_a_table_hit(self, monkeypatch):
@@ -734,11 +713,26 @@ class TestInterning:
         second = parse_scenario(text)
         assert runs == []
         assert second.scales is first.scales
-        # the table remembers a call by its own arguments, defaults omitted
+        # a repeated call is a table hit
         scale = Scale((SOME, MOST))
         assert Scale((SOME, MOST)) is scale
-        assert Scale((SOME, MOST), (1, 1)) is scale
         assert runs == [(SOME, MOST)]
+
+    def test_a_call_omitting_a_default_is_kept_under_its_own_key(self, monkeypatch):
+        runs = []
+        post_init = PredicateSym.__post_init__
+
+        def counted(self):
+            runs.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(PredicateSym, "__post_init__", counted)
+        # the call omits temporal_class, so its key differs from the stored
+        # fields; the repeat and the full call both hit the table
+        pred = PredicateSym("omitted-default")
+        assert PredicateSym("omitted-default") is pred
+        assert PredicateSym("omitted-default", "stative") is pred
+        assert runs == ["omitted-default"]
 
     def test_concurrent_builds_agree(self):
         # threads race to build the same new forms, round after round; as
@@ -817,7 +811,7 @@ _CLAUSE = some(ITALIAN, Atom(WARM))
 _NODES = [
     WARM, Atom(WARM), TRUE, NotP(Atom(WARM)), AndConc(Atom(WARM), TRUE),
     AndSeq(Atom(WON), Atom(LEFT)), _CLAUSE, Only(_CLAUSE), NotLF(_CLAUSE),
-    AndLF(_CLAUSE, _CLAUSE), OrLF((_CLAUSE, _CLAUSE)), Know(_CLAUSE), Poss(_CLAUSE),
+    AndLF(_CLAUSE, _CLAUSE), OrLF((_CLAUSE, _CLAUSE)), Know(_CLAUSE),
     Scale((SOME, ALL)), ScaleRegistry((Scale((SOME, ALL)),)),
 ]
 _NODE_IDS = [type(node).__name__ for node in _NODES]
@@ -830,7 +824,7 @@ class TestInternedContract:
 
     def test_the_sample_covers_every_node_class(self):
         assert sorted(_NODE_IDS) == sorted(c.__name__ for c in _interned_classes())
-        assert len(_NODES) == 15
+        assert len(_NODES) == 14
 
     @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
     def test_fields_cannot_be_assigned_or_deleted(self, node):
@@ -874,12 +868,10 @@ class TestInternedContract:
         assert Quant(SOME, ITALIAN, scope=Atom(WARM)) is clause
         assert "temporal_class" in vars(PredicateSym("fresh"))  # a default is stored too
         members = (SOME, MOST, ALL)
-        assert Scale(members).ranks == (1, 1, 1)
-        assert Scale(members) is Scale(members, (1, 1, 1))
-        assert Scale(members, ()) is Scale(members)  # __post_init__ rebinds the ranks
+        assert Scale(list(members)) is Scale(members=members)  # __post_init__ rebinds to a tuple
         assert clause._replace(quantifier=ALL) is all_(ITALIAN, Atom(WARM))
         assert PredicateSym._defaults == {"temporal_class": "stative"}
-        assert Scale._defaults == {"ranks": ()} and Quant._defaults == {}
+        assert Scale._defaults == {} and Quant._defaults == {}
         with pytest.raises(TypeError, match=r"Quant\(\): got an unexpected keyword argument 'x'"):
             clause._replace(x=1)
 
@@ -910,11 +902,11 @@ class TestInternedContract:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Scale, "__init__", counted)
-        first = Scale((SOME, ALL), (3, 5))  # ranks no other test uses
-        assert Scale((SOME, ALL), (3, 5)) is first
-        second = Scale((SOME, MOST), (3, 5))
-        assert Scale((SOME, MOST), (3, 5)) is second
-        assert built == [((SOME, ALL), (3, 5)), ((SOME, MOST), (3, 5))]
+        first = Scale((QI, ALL))  # scales no other test uses
+        assert Scale((QI, ALL)) is first
+        second = Scale((QI, MOST))
+        assert Scale((QI, MOST)) is second
+        assert built == [((QI, ALL),), ((QI, MOST),)]
 
 
 class TestRecords:
@@ -967,7 +959,6 @@ def _epistemic_forms(preds, depth):
     return st.one_of(
         _forms(preds, 1),
         st.builds(Know, sub),
-        st.builds(Poss, sub),
         st.builds(NotLF, sub),
         st.builds(AndLF, sub, sub),
         st.builds(OrLF, st.tuples(sub, sub)),
@@ -1066,7 +1057,6 @@ class TestFrontDoor:
         else:
             with pytest.raises(TypeError, match="^not a logical form: "):
                 logic.lf_predicates(node)
-            assert is_intersective_conjunction(node) is not facts[5]
 
 
 def _walk(node):
@@ -1089,13 +1079,13 @@ def _walk(node):
 
 def _walk_facts(node):
     """Reference for the stored node facts, from a generic walk over every
-    node's fields: (a logical form, no Know or Poss anywhere, every
+    node's fields: (a logical form, no Know anywhere, every
     predicate symbol, every restrictor, an eventive symbol, an and-seq, an
     and-conc), symbols in order of occurrence."""
     nodes = _walk(node)
     return (
-        isinstance(node, (Quant, Only, NotLF, AndLF, OrLF, Know, Poss)),
-        not any(isinstance(n, (Know, Poss)) for n in nodes),
+        isinstance(node, (Quant, Only, NotLF, AndLF, OrLF, Know)),
+        not any(isinstance(n, Know) for n in nodes),
         tuple(n for n in nodes if isinstance(n, PredicateSym)),
         tuple(n.restrictor for n in nodes if isinstance(n, Quant)),
         any(isinstance(n, PredicateSym) and n.temporal_class == "eventive" for n in nodes),

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from felicity import build_report, judge, parse_scenario, render_report
-from felicity.judge import TraceStep
+from felicity import Mechanism, Reading, build_report, judge, parse_scenario, render_report
+from felicity.judge import RULES, TraceStep
 from felicity.report import Report, TheoryRow, _step_json, report_from_dict, report_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,10 +58,23 @@ def _tuples(items, n: int):
     return st.lists(items, max_size=n).map(tuple)
 
 
-_STEPS = st.builds(TraceStep, _TEXT, _tuples(_TEXT, 3), _TEXT)
-_ROWS = st.builds(TheoryRow, _TEXT, _TEXT, _TEXT, _tuples(_STEPS, 4))
-_REPORTS = st.builds(
-    Report, _TEXT, _TEXT, _TEXT, _tuples(_ROWS, 3), _tuples(st.tuples(_TEXT, _TEXT), 3)
+def _reports(verdicts, readings, mechanisms, rules):
+    """Reports whose verdict, reading, mechanism and rule fields are drawn
+    from the given strategies and whose other fields are any text."""
+    steps = st.builds(TraceStep, rules, _tuples(_TEXT, 3), _TEXT)
+    rows = st.builds(TheoryRow, _TEXT, verdicts, mechanisms, _tuples(steps, 4))
+    continuations = _tuples(st.tuples(_TEXT, verdicts), 3)
+    return st.builds(Report, _TEXT, readings, verdicts, _tuples(rows, 3), continuations)
+
+
+# Any text anywhere: what the writer must encode as json.dumps does.
+_REPORTS = _reports(_TEXT, _TEXT, _TEXT, _TEXT)
+# Reports that report_from_dict accepts: the engine's own vocabularies.
+_KNOWN_REPORTS = _reports(
+    st.sampled_from(["odd", "felicitous"]),
+    st.sampled_from([r.value for r in Reading]),
+    st.sampled_from([m.value for m in Mechanism]),
+    st.sampled_from(sorted(RULES)),
 )
 
 
@@ -73,11 +86,15 @@ def _fixture_report(name: str) -> Report:
 class TestWriter:
     @settings(max_examples=300, deadline=None)
     @given(_REPORTS)
-    def test_matches_json_dumps_and_round_trips(self, report):
+    def test_matches_json_dumps(self, report):
         text = render_report(report, "json")
         assert text == json.dumps(_layout(report))
-        assert report_from_dict(json.loads(text)) == report
         assert report_to_dict(report) == _layout(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_KNOWN_REPORTS)
+    def test_round_trips(self, report):
+        assert report_from_dict(json.loads(render_report(report, "json"))) == report
 
     @settings(max_examples=100, deadline=None)
     @given(_REPORTS)
@@ -127,6 +144,17 @@ class TestReportFromDict:
             (("theories", 2, "trace"), (), "report key 'theories[2].trace' must be a list, got tuple"),
             (("continuations", 1, "verdict"), ["odd"],
              "report key 'continuations[1].verdict' must be a string, got list"),
+            # Values outside the engine's vocabularies are named too.
+            (("aggregate",), "maybe", "report key 'aggregate' has unknown value 'maybe'"),
+            (("reading",), "plural", "report key 'reading' has unknown value 'plural'"),
+            (("theories", 0, "verdict"), "perhaps",
+             "report key 'theories[0].verdict' has unknown value 'perhaps'"),
+            (("theories", 1, "mechanism"), "zz",
+             "report key 'theories[1].mechanism' has unknown value 'zz'"),
+            (("theories", 0, "trace", 0, "rule"), "no-such-rule",
+             "report key 'theories[0].trace[0].rule' has unknown value 'no-such-rule'"),
+            (("continuations", 0, "verdict"), "Odd",
+             "report key 'continuations[0].verdict' has unknown value 'Odd'"),
         ],
     )
     def test_wrong_value_names_its_key(self, data, path, value, message):

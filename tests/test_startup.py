@@ -94,7 +94,7 @@ def test_start_up_does_not_import_dataclasses_inspect_typing_or_pathlib(probe):
 
 
 def test_node_classes_define_no_init_repr_or_setattr_of_their_own(probe):
-    assert probe["classes"] == 15
+    assert probe["classes"] == 14
     assert probe["own"] == []
 
 
