@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache, reduce
+from itertools import product
 
 from .logic import (
     ALL,
@@ -92,34 +93,20 @@ class Presup(record("Presup", "content variant")):
 
 def _variants(lf: LogicalForm, scales: ScaleRegistry) -> list[LogicalForm]:
     """All trees obtainable by independently substituting scale-mates at each
-    quantified node (original included). Every quantifier is one lexical
-    item, so no scale-mate is more complex than the original it replaces."""
-    if isinstance(lf, Quant):
-        out = [lf]
+    quantified node (original included), in ``product`` order over the
+    fields. Every quantifier is one lexical item, so no scale-mate is more
+    complex than the original it replaces."""
+    if type(lf) is Quant:
         scale = scales.scale_for(lf.quantifier)
-        if scale is not None:
-            out += [
-                Quant(q, lf.restrictor, lf.scope) for q in scale.members if q is not lf.quantifier
-            ]
-        return out
-    if isinstance(lf, Only):
-        return [Only(b) for b in _variants(lf.body, scales)]
-    if isinstance(lf, NotLF):
-        return [NotLF(b) for b in _variants(lf.body, scales)]
-    if isinstance(lf, AndLF):
-        return [
-            AndLF(l, r)
-            for l in _variants(lf.left, scales)
-            for r in _variants(lf.right, scales)
-        ]
-    if isinstance(lf, OrLF):
-        def expand(ds: tuple[LogicalForm, ...]) -> list[tuple[LogicalForm, ...]]:
-            if not ds:
-                return [()]
-            return [(head,) + rest for head in _variants(ds[0], scales) for rest in expand(ds[1:])]
-
-        return [OrLF(ds) for ds in expand(lf.disjuncts)]
-    raise TypeError(f"cannot generate alternatives for {lf!r}")
+        mates = scale.members if scale is not None else ()
+        return [lf] + [Quant(q, lf.restrictor, lf.scope) for q in mates if q is not lf.quantifier]
+    fields = [
+        list(product(*(_variants(d, scales) for d in value)))
+        if type(value) is tuple
+        else _variants(value, scales)
+        for value in lf._fields()
+    ]
+    return [type(lf)(*values) for values in product(*fields)]
 
 
 def _declared(*forms: LogicalForm) -> tuple[PredicateSym, ...]:

@@ -42,7 +42,6 @@ from .logic import (
     Atom,
     DEFAULT_BOUND,
     FelicityError,
-    Know,
     LogicalForm,
     NotLF,
     NotP,
@@ -60,6 +59,7 @@ from .logic import (
     _IDENT_RE,
     _RESERVED,
     check_budget,
+    children,
     consistent,
     record,
 )
@@ -203,41 +203,30 @@ def parse_predicate(text: str, preds: Iterable[PredicateSym] | Mapping[str, Pred
 
 
 # Traces and reports render the same few forms many times over.
-@lru_cache(maxsize=4096)
-def render_pexpr(p: PredExpr) -> str:
-    if isinstance(p, Atom):
-        return p.pred.name
-    if isinstance(p, TruePred):
-        return "true"
-    if isinstance(p, NotP):
-        return f"(not {render_pexpr(p.body)})"
-    if isinstance(p, AndConc):
-        return f"(and-conc {render_pexpr(p.left)} {render_pexpr(p.right)})"
-    if isinstance(p, AndSeq):
-        return f"(and-seq {render_pexpr(p.left)} {render_pexpr(p.right)})"
-    raise TypeError(f"not a predicate expression: {p!r}")
+@lru_cache(maxsize=8192)
+def render_lf(node: LogicalForm | PredExpr) -> str:
+    """Canonical text for a logical form or a predicate expression;
+    parse_lf(render_lf(x)) is x, and so is parse_pexpr(render_lf(x)).
 
-
-@lru_cache(maxsize=4096)
-def render_lf(lf: LogicalForm) -> str:
-    """Canonical text for a logical form; parse_lf(render_lf(x)) is x.
-
-    The certainty wrapper renders as (know ...) for reports and traces,
-    but is not part of the input grammar.
+    A clause renders as (quantifier restrictor scope), an atom as its
+    predicate's name, and every other node as (keyword operand...). The
+    certainty wrapper renders as (know ...) for reports and traces, but is
+    not part of the input grammar.
     """
-    if isinstance(lf, Quant):
-        return f"({lf.quantifier.value} {lf.restrictor.name} {render_pexpr(lf.scope)})"
-    if isinstance(lf, Only):
-        return f"(only {render_lf(lf.body)})"
-    if isinstance(lf, NotLF):
-        return f"(not {render_lf(lf.body)})"
-    if isinstance(lf, AndLF):
-        return f"(and {render_lf(lf.left)} {render_lf(lf.right)})"
-    if isinstance(lf, OrLF):
-        return f"(or {' '.join(render_lf(d) for d in lf.disjuncts)})"
-    if isinstance(lf, Know):
-        return f"(know {render_lf(lf.body)})"
-    raise TypeError(f"not a logical form: {lf!r}")
+    cls = type(node)
+    if cls is Quant:
+        return f"({node.quantifier.value} {node.restrictor.name} {render_lf(node.scope)})"
+    if cls is Atom:
+        return node.pred.name
+    if cls is TruePred:
+        return cls.keyword
+    keyword = getattr(cls, "keyword", None)
+    if keyword is None:
+        raise TypeError(f"not a logical form or predicate expression: {node!r}")
+    return f"({keyword} {' '.join(map(render_lf, children(node)))})"
+
+
+render_pexpr = render_lf
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,7 @@ class FrozenInstanceError(AttributeError):
 # a weak-reference callback can run in the thread that holds it.
 _INTERNED: dict[tuple, weakref.ref] = {}
 _TABLE_LOCK = _thread.RLock()
+_NODE_CLASSES: set[type] = set()  # every subclass of Interned
 
 
 def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED, lock=_TABLE_LOCK):
@@ -100,40 +101,30 @@ def _forget(key: tuple, ref: weakref.ref, table: dict = _INTERNED, lock=_TABLE_L
 
 
 class _Interning(type):
-    """Metaclass of ``Interned``: a call returns the live equal value if
-    there is one, and builds (and validates) a new value only otherwise."""
+    """Metaclass of ``Interned``: a call binds its arguments to the fields,
+    returns the live value with those fields if there is one, and builds
+    (and validates) a new value only otherwise."""
 
     def __call__(cls, *args, **kwargs):
-        call = None if kwargs else (cls, *args)
-        if call is not None:
-            try:
-                ref = _INTERNED.get(call)
-            except TypeError:  # an unhashable argument, e.g. a list
-                call = ref = None
-            value = ref() if ref is not None else None
-            if value is not None:
-                return value
-        # Keywords and first calls take this path: build first, then look
-        # up by the stored fields. These are the call's arguments when it
-        # passed every field and no __post_init__ could rebind one.
-        value = super().__call__(*args, **kwargs)
-        if call is not None and len(args) == len(cls.__match_args__) and (
-            cls.__post_init__ is Interned.__post_init__
-        ):
-            key = call
-        else:
-            key = (cls, *value._fields())
+        if kwargs or len(args) != len(cls.__match_args__):
+            args = _bind(cls, args, kwargs)
+        try:
+            ref = _INTERNED.get((cls, *args))
+        except TypeError:  # an unhashable argument, e.g. a list
+            ref = None
+        value = ref() if ref is not None else None
+        if value is not None:
+            return value
+        value = super().__call__(*args)
+        # Keyed by the stored fields, which __post_init__ may have
+        # normalized (a list of members to a tuple, say).
+        key = (cls, *value._fields())
         with _TABLE_LOCK:
             ref = _INTERNED.get(key)
             live = ref() if ref is not None else None
             if live is None:
                 live = value
                 _INTERNED[key] = weakref.ref(value, partial(_forget, key))
-            if call is not None and call != key:
-                # Omitted defaults, or arguments that __post_init__
-                # normalizes: keep this call's key too, so that a repeat is
-                # a table hit.
-                _INTERNED[call] = weakref.ref(live, partial(_forget, call))
         return live
 
 
@@ -157,27 +148,30 @@ class Interned(metaclass=_Interning):
     into ``__match_args__`` (the field names) and ``_defaults``, and
     installs ``_fields()`` (the field values). ``__init__``, ``__repr__``
     and the frozen ``__setattr__``/``__delattr__`` are written here once.
-    ``__init__`` binds positional, keyword and default arguments, stores
-    them and calls ``__post_init__``, which may validate and may rebind
-    fields through ``object.__setattr__``. It runs only when the intern
-    table has no equal value. Nodes stay plain classes, not tuples: the
-    table holds weak references to them.
+    The class call binds positional, keyword and default arguments to the
+    fields and looks them up in the intern table. Only on a miss does
+    ``__init__`` run: it stores the bound values and calls
+    ``__post_init__``, which may validate and may rebind fields through
+    ``object.__setattr__``. An operator node also names its ``keyword``,
+    the word that heads it in the concrete syntax. ``children`` walks any
+    node through its fields, and ``dsl.render_lf`` writes any node from
+    its keyword. Nodes stay plain classes, not tuples: the table holds
+    weak references to them.
     """
 
     __match_args__: tuple[str, ...] = ()
     _defaults: dict = {}
+    keyword = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        _NODE_CLASSES.add(cls)
         cls.__match_args__ = names = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
         cls._fields = _field_getter(names)
 
-    def __init__(self, *args, **kwargs):
-        names = self.__match_args__
-        if kwargs or len(args) != len(names):
-            args = _bind(type(self), args, kwargs)
-        for name, value in zip(names, args):
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -298,6 +292,8 @@ class Atom(Interned):
 class TruePred(Interned):
     """The trivially true predicate (denotes the whole universe)."""
 
+    keyword = "true"
+
 
 TRUE = TruePred()
 
@@ -305,12 +301,14 @@ TRUE = TruePred()
 class NotP(Interned):
     """Predicate negation; denotes the complement in the universe."""
 
+    keyword = "not"
     body: "PredExpr"
 
 
 class AndConc(Interned):
     """Concurrent predicate conjunction; denotes set intersection."""
 
+    keyword = "and-conc"
     left: "PredExpr"
     right: "PredExpr"
 
@@ -324,6 +322,7 @@ class AndSeq(Interned):
     least one eventive atom; stative predicates cannot be sequenced.
     """
 
+    keyword = "and-seq"
     left: "PredExpr"
     right: "PredExpr"
 
@@ -358,11 +357,8 @@ NO = Quantifier.NO
 QI = Quantifier.QI
 
 # Identifiers of the concrete syntax (``dsl``): names of predicates and
-# scenarios. A keyword of the formula grammar is not one.
+# scenarios. A keyword of the formula grammar is not one (``_RESERVED``).
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")  # \Z: no newline at the end either
-_RESERVED = {q.value for q in Quantifier} | {
-    "true", "not", "and", "or", "only", "and-conc", "and-seq"
-}
 
 
 class Quant(Interned):
@@ -376,6 +372,7 @@ class Quant(Interned):
 class Only(Interned):
     """Overt exhaustivity marker; applies only to a quantified clause."""
 
+    keyword = "only"
     body: "LogicalForm"
 
     def __post_init__(self):
@@ -386,12 +383,14 @@ class Only(Interned):
 class NotLF(Interned):
     """Clausal negation."""
 
+    keyword = "not"
     body: "LogicalForm"
 
 
 class AndLF(Interned):
     """Clausal conjunction."""
 
+    keyword = "and"
     left: "LogicalForm"
     right: "LogicalForm"
 
@@ -399,6 +398,7 @@ class AndLF(Interned):
 class OrLF(Interned):
     """Clausal disjunction of one or more forms."""
 
+    keyword = "or"
     disjuncts: tuple["LogicalForm", ...]
 
     def __post_init__(self):
@@ -410,10 +410,17 @@ class OrLF(Interned):
 class Know(Interned):
     """Certainty operator over the context's worlds; opaque to plain eval."""
 
+    keyword = "know"
     body: "LogicalForm"
 
 
 LogicalForm = _FORMS = (Quant, Only, NotLF, AndLF, OrLF, Know)
+
+# The words of the formula grammar: quantifiers and operator keywords. know
+# only appears in reports and traces, not in input, so it may name a predicate.
+_RESERVED = {q.value for q in Quantifier} | {
+    cls.keyword for cls in PredExpr + _FORMS if cls.keyword and cls is not Know
+}
 
 # What the engine asks of a node's whole subtree:
 # form: a logical form, not a predicate expression or symbol;
@@ -422,6 +429,17 @@ LogicalForm = _FORMS = (Quant, Only, NotLF, AndLF, OrLF, Know)
 # restrictors: every quantifier restrictor;
 # eventive, seq, conc: an eventive predicate, an and-seq, an and-conc occurs.
 NodeFacts = namedtuple("NodeFacts", "form epistemic_free preds restrictors eventive seq conc")
+
+
+def children(node: Interned) -> list[Interned]:
+    """The node-valued fields of node in order, a tuple field's members in
+    its place: a clause's restrictor and scope, a connective's operands."""
+    out = []
+    for value in node._fields():
+        for child in value if type(value) is tuple else (value,):
+            if type(child) in _NODE_CLASSES:  # exact types: isinstance here is slow
+                out.append(child)
+    return out
 
 
 def node_facts(node: Interned) -> NodeFacts:
@@ -437,24 +455,17 @@ def node_facts(node: Interned) -> NodeFacts:
     else:
         # The operands of a connective or operator must be forms; those of a
         # clause or a predicate expression are symbols and expressions.
-        takes_forms = cls in _FORMS and cls is not Quant
+        child_facts = _form_facts if cls in _FORMS and cls is not Quant else node_facts
         free = cls is not Know
         eventive, seq, conc = False, cls is AndSeq, cls is AndConc
         preds, restrictors = (), ((node.restrictor,) if cls is Quant else ())
-        for value in node._fields():
-            for child in value if isinstance(value, tuple) else (value,):
-                if takes_forms:
-                    part = _form_facts(child)
-                elif isinstance(child, Interned):
-                    part = node_facts(child)
-                else:
-                    continue
-                free = free and part.epistemic_free
-                preds += part.preds
-                restrictors += part.restrictors
-                eventive = eventive or part.eventive
-                seq = seq or part.seq
-                conc = conc or part.conc
+        for part in map(child_facts, children(node)):
+            free = free and part.epistemic_free
+            preds += part.preds
+            restrictors += part.restrictors
+            eventive = eventive or part.eventive
+            seq = seq or part.seq
+            conc = conc or part.conc
         facts = NodeFacts(cls in _FORMS, free, preds, restrictors, eventive, seq, conc)
     object.__setattr__(node, "_facts", facts)
     return facts

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from felicity import (
     ALL,
@@ -17,10 +18,14 @@ from felicity import (
     NO,
     NotLF,
     Only,
+    OrLF,
     PresupVariant,
     PresuppositionUndefinedError,
+    QI,
     Quant,
     SOME,
+    Scale,
+    ScaleRegistry,
     TRUE,
     Tag,
     consistent,
@@ -103,6 +108,72 @@ class TestSubstitutionAlternatives:
                 for q_alt, q_orig in _paired_quantifiers(alt.form, origin):
                     assert q_alt in full_registry.scale_for(q_orig)
             assert len(alts.members) == 2  # the two other members of (some most all)
+
+
+def _per_class_variants(lf, scales):
+    """The variants as a recursion written out per node class computes
+    them; the generic walk in ``alternatives`` must give them in this order."""
+    if isinstance(lf, Quant):
+        out = [lf]
+        scale = scales.scale_for(lf.quantifier)
+        if scale is not None:
+            out += [
+                Quant(q, lf.restrictor, lf.scope) for q in scale.members if q is not lf.quantifier
+            ]
+        return out
+    if isinstance(lf, Only):
+        return [Only(b) for b in _per_class_variants(lf.body, scales)]
+    if isinstance(lf, NotLF):
+        return [NotLF(b) for b in _per_class_variants(lf.body, scales)]
+    if isinstance(lf, AndLF):
+        return [
+            AndLF(l, r)
+            for l in _per_class_variants(lf.left, scales)
+            for r in _per_class_variants(lf.right, scales)
+        ]
+    if isinstance(lf, OrLF):
+        def expand(ds):
+            if not ds:
+                return [()]
+            return [(head,) + rest for head in _per_class_variants(ds[0], scales)
+                    for rest in expand(ds[1:])]
+
+        return [OrLF(ds) for ds in expand(lf.disjuncts)]
+    raise TypeError(f"cannot generate alternatives for {lf!r}")
+
+
+# Registries whose scales all hold some and all, so that only over either
+# is defined; the last puts qi on a second scale.
+_REGISTRIES = [
+    ScaleRegistry((Scale((SOME, MOST, ALL)),)),
+    ScaleRegistry((Scale((SOME, ALL)),)),
+    ScaleRegistry((Scale((SOME, ALL)), Scale((QI, MOST, ALL)))),
+]
+_SCOPES = st.sampled_from([Atom(WARM), Atom(BLOND), CONJ, TRUE])
+_CLAUSES = st.builds(
+    Quant, st.sampled_from([SOME, MOST, ALL, NO, QI]), st.just(ITALIAN), _SCOPES
+)
+
+
+def _nested_forms(depth):
+    only = st.builds(Only, st.builds(Quant, st.sampled_from([SOME, ALL]), st.just(ITALIAN), _SCOPES))
+    if depth == 0:
+        return st.one_of(_CLAUSES, only)
+    sub = _nested_forms(depth - 1)
+    return st.one_of(
+        _CLAUSES,
+        only,
+        st.builds(NotLF, sub),
+        st.builds(AndLF, sub, sub),
+        st.builds(OrLF, st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested_forms(2), st.sampled_from(_REGISTRIES))
+def test_alternatives_of_nested_forms_come_in_per_class_order(lf, scales):
+    expected = dict.fromkeys(v for v in _per_class_variants(lf, scales) if v is not lf)
+    assert substitution_alternatives(lf, scales, 2).forms() == tuple(expected)
 
 
 def _paired_quantifiers(alt, orig):

@@ -718,7 +718,7 @@ class TestInterning:
         assert Scale((SOME, MOST)) is scale
         assert runs == [(SOME, MOST)]
 
-    def test_a_call_omitting_a_default_is_kept_under_its_own_key(self, monkeypatch):
+    def test_a_call_omitting_a_default_is_a_table_hit(self, monkeypatch):
         runs = []
         post_init = PredicateSym.__post_init__
 
@@ -727,12 +727,32 @@ class TestInterning:
             post_init(self)
 
         monkeypatch.setattr(PredicateSym, "__post_init__", counted)
-        # the call omits temporal_class, so its key differs from the stored
-        # fields; the repeat and the full call both hit the table
+        # the call binds the omitted temporal_class before the lookup, so
+        # the repeat and the full call both hit the table
         pred = PredicateSym("omitted-default")
         assert PredicateSym("omitted-default") is pred
         assert PredicateSym("omitted-default", "stative") is pred
         assert runs == ["omitted-default"]
+
+    def test_a_keyword_call_or_replace_of_a_live_value_builds_nothing(self, monkeypatch):
+        from felicity import Scale
+
+        members = (MOST, ALL)
+        scale = Scale(members)
+        runs = []
+        post_init = Scale.__post_init__
+
+        def counted(self):
+            runs.append(self.members)
+            post_init(self)
+
+        monkeypatch.setattr(Scale, "__post_init__", counted)
+        assert Scale(members=members) is scale
+        assert scale._replace() is scale
+        assert scale._replace(members=members) is scale
+        clause = some(ITALIAN, Atom(WARM))
+        assert clause._replace(scope=Atom(WARM)) is clause
+        assert runs == []
 
     def test_concurrent_builds_agree(self):
         # threads race to build the same new forms, round after round; as

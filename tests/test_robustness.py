@@ -1,0 +1,149 @@
+"""Generated well-formed scenarios keep the engine's error contract: only a
+``FelicityError`` escapes parsing, judging and rendering, every trace step
+replays, and the command line exits 0, 1 or 2 without an internal error."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from felicity import (
+    ContextState,
+    FelicityError,
+    Quant,
+    build_report,
+    judge,
+    parse_lf,
+    parse_pexpr,
+    parse_scenario,
+    render_lf,
+    render_pexpr,
+    render_report,
+    render_traces,
+    replay_step,
+)
+from felicity.cli import main
+from felicity.logic import children
+
+QUANTIFIERS = ("some", "most", "all", "no", "qi")
+# Scales the scale check accepts, and one it refuses.
+SCALES = (
+    ("some", "most", "all"), ("some", "all"), ("some", "most"), ("qi", "most", "all"),
+    ("no",), ("qi",), ("all", "some"),
+)
+
+
+def _scopes(preds: list[str], eventive: list[str]):
+    def extend(sub):
+        options = [
+            sub.map(lambda p: f"(not {p})"),
+            st.tuples(sub, sub).map(lambda pq: f"(and-conc {pq[0]} {pq[1]})"),
+        ]
+        if eventive:  # and-seq only over eventive atoms
+            ev = st.sampled_from(eventive)
+            options.append(st.tuples(ev, ev).map(lambda pq: f"(and-seq {pq[0]} {pq[1]})"))
+        return st.one_of(options)
+
+    return st.recursive(st.sampled_from([*preds, "true"]), extend, max_leaves=3)
+
+
+def _forms(preds: list[str], eventive: list[str]):
+    def clauses(quantifiers):
+        return st.tuples(
+            st.sampled_from(quantifiers), st.sampled_from(preds), _scopes(preds, eventive)
+        ).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+
+    def extend(sub):
+        return st.one_of(
+            sub.map(lambda f: f"(not {f})"),
+            st.tuples(sub, sub).map(lambda fg: f"(and {fg[0]} {fg[1]})"),
+            st.lists(sub, min_size=1, max_size=3).map(lambda fs: f"(or {' '.join(fs)})"),
+        )
+
+    # only over some, most or all: most scales hold them
+    only = clauses(("some", "most", "all")).map(lambda c: f"(only {c})")
+    return st.recursive(st.one_of(clauses(QUANTIFIERS), only), extend, max_leaves=3)
+
+
+def _section(name: str, items: list[str]) -> str:
+    return f"\n  ({name} {' '.join(items)})" if items else ""
+
+
+@st.composite
+def scenarios(draw) -> str:
+    stative = [f"s{i}" for i in range(draw(st.integers(0, 2)))]
+    eventive = [f"e{i}" for i in range(draw(st.integers(0 if stative else 1, 3 - len(stative))))]
+    preds = stative + eventive
+    declared = " ".join(
+        [f"({p} :stative)" for p in stative] + [f"({p} :eventive)" for p in eventive]
+    )
+    scales = draw(st.lists(st.sampled_from(SCALES).map(lambda s: f"({' '.join(s)})"), max_size=2))
+    forms = _forms(preds, eventive)
+    return (
+        f"(scenario fuzz\n  (individuals {draw(st.integers(1, 3))})\n  (predicates {declared})"
+        + _section("scales", scales)
+        + _section("common-knowledge", draw(st.lists(forms, max_size=1)))
+        + _section("discourse", draw(st.lists(forms, max_size=1)))
+        + f"\n  (target {draw(forms)})"
+        + _section("continuations", draw(st.lists(forms, max_size=2)))
+        + f"\n  (expect {draw(st.sampled_from(['odd', 'felicitous']))}))"
+    )
+
+
+def _cli(*argv: str) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("robustness") / "fuzz.sexp"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_generated_scenarios_keep_the_error_contract(scenario_path, text):
+    scenario_path.write_text(text, encoding="utf-8")
+    expected_code = 2
+    try:
+        scenario = parse_scenario(text)
+        judgment = judge(scenario)
+    except FelicityError as exc:
+        event(f"refused: {type(exc).__name__}")
+    else:
+        event("judged")
+        preds = {p.name: p for p in scenario.preds}
+        assert parse_lf(render_lf(scenario.target), preds) is scenario.target
+        for scope in {n.scope for n in _nodes(scenario.target) if type(n) is Quant}:
+            assert parse_pexpr(render_pexpr(scope), preds) is scope
+        report = build_report(scenario.name, judgment)
+        render_report(report, "json")
+        render_report(report, "table")
+        render_traces(report)
+        ctx = ContextState(
+            common_knowledge=scenario.common_knowledge,
+            discourse=scenario.discourse,
+            preds=scenario.preds,
+            bound=scenario.max_universe,
+            scales=scenario.scales,
+        )
+        for verdict in judgment.theories:
+            for step in verdict.trace:
+                assert replay_step(step, ctx) == step.output, (verdict.theory, step)
+        expected_code = 0 if judgment.aggregate == scenario.expect else 1
+    code, err = _cli("check", str(scenario_path))
+    assert code == expected_code and "internal error" not in err, err
+    code, err = _cli("run", "--format", "json", "--explain", str(scenario_path))
+    assert code == (2 if expected_code == 2 else 0) and "internal error" not in err, err
+
+
+def _nodes(node):
+    """node and every node under it."""
+    yield node
+    for child in children(node):
+        yield from _nodes(child)
