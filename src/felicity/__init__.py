@@ -13,9 +13,7 @@ from .logic import (
     Atom,
     DeclarationError,
     DEFAULT_BOUND,
-    EpistemicContextRequired,
     FelicityError,
-    Know,
     LogicalForm,
     Model,
     MOST,
@@ -45,7 +43,6 @@ from .scales import Scale, ScaleRegistry, default_registry
 from .context import (
     ContextState,
     InconsistentContextError,
-    UnsupportedNestingError,
     UpdateContradictionError,
     Verdict,
     contextually_entails,
@@ -58,7 +55,6 @@ from .context import (
 from .alternatives import (
     Alternative,
     AlternativeSet,
-    Presup,
     PresupVariant,
     PresuppositionUndefinedError,
     Tag,

@@ -23,7 +23,6 @@ from .logic import (
     AndLF,
     DEFAULT_BOUND,
     FelicityError,
-    Know,
     LogicalForm,
     NotLF,
     Only,
@@ -78,12 +77,6 @@ class AlternativeSet(record("AlternativeSet", "origin members")):
 class PresupVariant(Enum):
     WEAK = "weak"
     EXHAUSTIFIED = "exhaustified"
-
-
-class Presup(record("Presup", "content variant")):
-    """A presupposition and the variant that produced it."""
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +196,8 @@ def exh(
 
 
 def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, ...]:
-    """Ignorance implicatures not-certain(d) for the live disjuncts of disj.
+    """The live disjuncts d of disj, each of which carries the ignorance
+    implicature not-certain(d).
 
     A disjunct is dropped when the disjunction itself forces it (with
     existential import on the restrictors, so the trivially weakest mate is
@@ -219,7 +213,7 @@ def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, .
             continue
         if settled_by_discourse(ctx, d):
             continue
-        out.append(NotLF(Know(d)))
+        out.append(d)
     return tuple(out)
 
 
@@ -228,7 +222,7 @@ def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, .
 # ---------------------------------------------------------------------------
 
 
-def presupposition(lf: LogicalForm, variant: PresupVariant) -> Presup:
+def presupposition(lf: LogicalForm, variant: PresupVariant) -> LogicalForm:
     """Existence-plus-content presupposition of a quantified clause.
 
     all(A)(S) presupposes that A is nonempty and that all of them are S;
@@ -242,28 +236,23 @@ def presupposition(lf: LogicalForm, variant: PresupVariant) -> Presup:
         raise PresuppositionUndefinedError(
             f"no presupposition rule for {type(lf).__name__}"
         )
-    exist = Quant(SOME, lf.restrictor, TRUE)
-    if lf.quantifier is ALL:
-        return Presup(content=AndLF(exist, lf), variant=variant)
-    if lf.quantifier is SOME:
-        content: LogicalForm = AndLF(exist, lf)
-        if variant is PresupVariant.EXHAUSTIFIED:
-            content = AndLF(content, NotLF(Quant(ALL, lf.restrictor, lf.scope)))
-        return Presup(content=content, variant=variant)
-    raise PresuppositionUndefinedError(
-        f"no presupposition rule for quantifier {lf.quantifier.value!r}"
-    )
+    if lf.quantifier not in (ALL, SOME):
+        raise PresuppositionUndefinedError(
+            f"no presupposition rule for quantifier {lf.quantifier.value!r}"
+        )
+    content = AndLF(Quant(SOME, lf.restrictor, TRUE), lf)
+    if lf.quantifier is SOME and variant is PresupVariant.EXHAUSTIFIED:
+        content = AndLF(content, NotLF(Quant(ALL, lf.restrictor, lf.scope)))
+    return content
 
 
 def presup_strictly_stronger(
-    p1: Presup,
-    p2: Presup,
+    p1: LogicalForm,
+    p2: LogicalForm,
     preds: Iterable[PredicateSym],
     bound: int = DEFAULT_BOUND,
     scales: ScaleRegistry | None = None,
 ) -> bool:
-    """p1 entails p2 but not conversely, at the bound."""
+    """Presupposition p1 entails p2 but not conversely, at the bound."""
     preds = tuple(preds)
-    return entails([p1.content], p2.content, preds, bound, scales) and not entails(
-        [p2.content], p1.content, preds, bound, scales
-    )
+    return entails([p1], p2, preds, bound, scales) and not entails([p2], p1, preds, bound, scales)

@@ -20,7 +20,6 @@ from .logic import (
     consistent,
     entails,
     existence_premises,
-    is_epistemic_free,
     record,
 )
 from .scales import default_registry
@@ -50,10 +49,6 @@ class UpdateContradictionError(FelicityError):
         return f"discourse update contradicts the context: {render_lf(self.lf)}"
 
 
-class UnsupportedNestingError(FelicityError):
-    """Certainty/possibility queries take epistemic-free forms only."""
-
-
 class ContextState(record("ContextState", "common_knowledge discourse preds bound scales")):
     """Immutable context: updates return fresh states.
 
@@ -79,11 +74,6 @@ class ContextState(record("ContextState", "common_knowledge discourse preds boun
     def __init__(self, *args, **kwargs):
         # Validation, kept apart from __new__'s normalization: the
         # benchmark's tracer times ContextState.__init__ as a context build.
-        for lf in self.common_knowledge + self.discourse:
-            if not is_epistemic_free(lf):
-                raise UnsupportedNestingError(
-                    f"context content must be epistemic-free: {lf!r}"
-                )
         if not consistent(
             self.common_knowledge + self.discourse, self.preds, self.bound, self.scales
         ):
@@ -96,21 +86,14 @@ class ContextState(record("ContextState", "common_knowledge discourse preds boun
         return self.common_knowledge + self.discourse
 
 
-def _require_plain(lf: LogicalForm):
-    if not is_epistemic_free(lf):
-        raise UnsupportedNestingError(f"nested epistemic operators unsupported: {lf!r}")
-
-
 def k_holds(ctx: ContextState, lf: LogicalForm) -> bool:
     """Certainty: lf is true in every world compatible with the context,
     i.e. the context (both tiers consulted) entails lf."""
-    _require_plain(lf)
     return entails(ctx.facts, lf, ctx.preds, ctx.bound, ctx.scales)
 
 
 def p_holds(ctx: ContextState, lf: LogicalForm) -> bool:
     """Possibility: lf is true in at least one compatible world."""
-    _require_plain(lf)
     return consistent(ctx.facts + (lf,), ctx.preds, ctx.bound, ctx.scales)
 
 
@@ -131,7 +114,6 @@ def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:
     Common knowledge is deliberately not consulted: this is the relevance
     test, and it must stay blind to the background tier.
     """
-    _require_plain(lf)
     premises = _discourse_premises(ctx)
     return entails(premises, lf, ctx.preds, ctx.bound, ctx.scales) or entails(
         premises, NotLF(lf), ctx.preds, ctx.bound, ctx.scales
@@ -140,7 +122,6 @@ def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:
 
 def update_discourse(ctx: ContextState, lf: LogicalForm) -> ContextState:
     """Append lf to the discourse record; the original state is unchanged."""
-    _require_plain(lf)
     if not consistent(ctx.facts + (lf,), ctx.preds, ctx.bound, ctx.scales):
         raise UpdateContradictionError(lf)
     return ctx._replace(discourse=ctx.discourse + (lf,))

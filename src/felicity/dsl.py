@@ -209,9 +209,7 @@ def render_lf(node: LogicalForm | PredExpr) -> str:
     parse_lf(render_lf(x)) is x, and so is parse_pexpr(render_lf(x)).
 
     A clause renders as (quantifier restrictor scope), an atom as its
-    predicate's name, and every other node as (keyword operand...). The
-    certainty wrapper renders as (know ...) for reports and traces, but is
-    not part of the input grammar.
+    predicate's name, and every other node as (keyword operand...).
     """
     cls = type(node)
     if cls is Quant:

@@ -21,7 +21,6 @@ from enum import Enum
 
 from .alternatives import (
     AlternativeSet,
-    Presup,
     PresupVariant,
     PresuppositionUndefinedError,
     disjunction_ignorance,
@@ -167,6 +166,12 @@ def _fmt_form(lf: LogicalForm) -> str:
     return render_lf(lf)
 
 
+def _fmt_ignorance(disjuncts) -> str:
+    """The ignorance implicature not-certain(d) of each live disjunct d."""
+    rendered = [f"(not (know {render_lf(d)}))" for d in disjuncts]
+    return "; ".join(rendered) if rendered else "(none)"
+
+
 # How a rule input is recorded and read back: ``render`` turns the value
 # into trace text, ``parse`` turns that text back into the value against the
 # replaying context and its table of declared predicates.
@@ -182,11 +187,6 @@ ALTERNATIVES = InputKind(
 PRUNED_ALTERNATIVES = InputKind(
     ALTERNATIVES.render,
     lambda text, ctx, preds: prune_settled(ALTERNATIVES.parse(text, ctx, preds), ctx),
-)
-# Presupposition strength compares contents only, so the variant is not shown.
-PRESUPPOSITION = InputKind(
-    lambda p: render_lf(p.content),
-    lambda text, ctx, preds: Presup(parse_lf(text, preds), PresupVariant.WEAK),
 )
 VARIANT = InputKind(lambda v: v.value, lambda text, ctx, preds: PresupVariant(text))
 RESTRICTOR = InputKind(lambda p: p.name, lambda text, ctx, preds: parse_predicate(text, preds))
@@ -251,10 +251,10 @@ RULES: dict[str, Rule] = {
     "presupposition": Rule(
         (FORM, VARIANT),
         _presupposition,
-        lambda p: "undefined" if p is None else render_lf(p.content),
+        lambda p: "undefined" if p is None else render_lf(p),
     ),
     "presup-strength": Rule(
-        (PRESUPPOSITION, PRESUPPOSITION),
+        (FORM, FORM),
         lambda ctx, p1, p2: presup_strictly_stronger(p1, p2, ctx.preds, ctx.bound, ctx.scales),
         _words("strictly-stronger", "not-stronger"),
     ),
@@ -290,7 +290,7 @@ RULES: dict[str, Rule] = {
         lambda ctx, lf, expansion: entails([lf], expansion, ctx.preds, ctx.bound, ctx.scales),
         _ENTAILMENT,
     ),
-    "ignorance": Rule((FORM,), lambda ctx, disj: disjunction_ignorance(disj, ctx), _fmt_forms),
+    "ignorance": Rule((FORM,), lambda ctx, disj: disjunction_ignorance(disj, ctx), _fmt_ignorance),
     "clash-check": Rule(
         (FORM,),
         lambda ctx, lf: k_holds(ctx, lf),
@@ -382,7 +382,7 @@ def predict_presupposed_ignorance(lf: LogicalForm, ctx: ContextState) -> TheoryV
             if (
                 alt_presup is not None
                 and _step(trace, ctx, "presup-strength", alt_presup, own)
-                and _step(trace, ctx, "contextual-entailment", alt_presup.content)
+                and _step(trace, ctx, "contextual-entailment", alt_presup)
             ):
                 fired.append(Mechanism.PRESUPPOSED_IGNORANCE)
     return _verdict(THEORY_PRESUPPOSED_IGNORANCE, fired, trace)
@@ -425,7 +425,7 @@ def predict_del_pinal(lf: LogicalForm, ctx: ContextState) -> TheoryVerdict:
         if p is None:
             continue
         assertable = _step(trace, ctx, "assertion-consistency", clause)
-        joint = _step(trace, ctx, "presupposition-update", p.content, clause)
+        joint = _step(trace, ctx, "presupposition-update", p, clause)
         if assertable and not joint:
             fired.append(Mechanism.PRESUPPOSITION_UPDATE_CLASH)
     return _verdict(THEORY_DEL_PINAL, fired, trace)
@@ -453,8 +453,8 @@ def predict_indirect_contradiction(lf: LogicalForm, ctx: ContextState) -> Theory
             expansion = _step(trace, ctx, "qi-expansion", prejacent.restrictor, branch)
             if not _step(trace, ctx, "expansion-licensed", prejacent, expansion):
                 continue
-            for ignorance in _step(trace, ctx, "ignorance", expansion):
-                if _step(trace, ctx, "clash-check", ignorance.body.body):
+            for disjunct in _step(trace, ctx, "ignorance", expansion):
+                if _step(trace, ctx, "clash-check", disjunct):
                     fired.append(Mechanism.INDIRECT_CONTEXTUAL_CONTRADICTION)
     return _verdict(THEORY_INDIRECT, fired, trace)
 

@@ -57,10 +57,6 @@ class DeclarationError(FelicityError):
     """A predicate was used without a matching declaration."""
 
 
-class EpistemicContextRequired(FelicityError):
-    """A certainty operator reached plain model evaluation."""
-
-
 class ScaleError(FelicityError):
     """A scale is missing, empty, ill-ordered, or lacks a required member."""
 
@@ -407,28 +403,19 @@ class OrLF(Interned):
             raise WellFormednessError("or requires at least one disjunct")
 
 
-class Know(Interned):
-    """Certainty operator over the context's worlds; opaque to plain eval."""
+LogicalForm = _FORMS = (Quant, Only, NotLF, AndLF, OrLF)
 
-    keyword = "know"
-    body: "LogicalForm"
-
-
-LogicalForm = _FORMS = (Quant, Only, NotLF, AndLF, OrLF, Know)
-
-# The words of the formula grammar: quantifiers and operator keywords. know
-# only appears in reports and traces, not in input, so it may name a predicate.
+# The words of the formula grammar: quantifiers and operator keywords.
 _RESERVED = {q.value for q in Quantifier} | {
-    cls.keyword for cls in PredExpr + _FORMS if cls.keyword and cls is not Know
+    cls.keyword for cls in PredExpr + _FORMS if cls.keyword
 }
 
 # What the engine asks of a node's whole subtree:
 # form: a logical form, not a predicate expression or symbol;
-# epistemic_free: no know;
 # preds: every predicate symbol, restrictors included;
 # restrictors: every quantifier restrictor;
 # eventive, seq, conc: an eventive predicate, an and-seq, an and-conc occurs.
-NodeFacts = namedtuple("NodeFacts", "form epistemic_free preds restrictors eventive seq conc")
+NodeFacts = namedtuple("NodeFacts", "form preds restrictors eventive seq conc")
 
 
 def children(node: Interned) -> list[Interned]:
@@ -451,22 +438,20 @@ def node_facts(node: Interned) -> NodeFacts:
         return facts
     cls = type(node)  # exact-type tests: isinstance on these classes is slow
     if cls is PredicateSym:
-        facts = NodeFacts(False, True, (node,), (), node.temporal_class == EVENTIVE, False, False)
+        facts = NodeFacts(False, (node,), (), node.temporal_class == EVENTIVE, False, False)
     else:
         # The operands of a connective or operator must be forms; those of a
         # clause or a predicate expression are symbols and expressions.
         child_facts = _form_facts if cls in _FORMS and cls is not Quant else node_facts
-        free = cls is not Know
         eventive, seq, conc = False, cls is AndSeq, cls is AndConc
         preds, restrictors = (), ((node.restrictor,) if cls is Quant else ())
         for part in map(child_facts, children(node)):
-            free = free and part.epistemic_free
             preds += part.preds
             restrictors += part.restrictors
             eventive = eventive or part.eventive
             seq = seq or part.seq
             conc = conc or part.conc
-        facts = NodeFacts(cls in _FORMS, free, preds, restrictors, eventive, seq, conc)
+        facts = NodeFacts(cls in _FORMS, preds, restrictors, eventive, seq, conc)
     object.__setattr__(node, "_facts", facts)
     return facts
 
@@ -479,10 +464,6 @@ def _form_facts(lf: LogicalForm) -> NodeFacts:
     if facts is None or not facts.form:
         raise TypeError(f"not a logical form: {lf!r}")
     return facts
-
-
-def is_epistemic_free(lf: LogicalForm) -> bool:
-    return _form_facts(lf).epistemic_free
 
 
 def lf_predicates(lf: LogicalForm) -> tuple[PredicateSym, ...]:
@@ -636,7 +617,7 @@ def _pexpr_mask(p: PredExpr, m: Model) -> int:
 
 
 def evaluate(lf: LogicalForm, m: Model, scales: "ScaleRegistry | None" = None) -> bool:
-    """Classical truth of an epistemic-free logical form in a single model.
+    """Classical truth of a logical form in a single model.
 
     Quantifiers: some/qi nonempty intersection, all inclusion (vacuously true
     on an empty restrictor), most strict majority (|A&B| > |A-B|), no empty
@@ -675,10 +656,6 @@ def evaluate(lf: LogicalForm, m: Model, scales: "ScaleRegistry | None" = None) -
         return evaluate(lf.left, m, scales) and evaluate(lf.right, m, scales)
     if isinstance(lf, OrLF):
         return any(evaluate(d, m, scales) for d in lf.disjuncts)
-    if isinstance(lf, Know):
-        raise EpistemicContextRequired(
-            "know cannot be evaluated against a single model; use an epistemic context"
-        )
     raise TypeError(f"not a logical form: {lf!r}")
 
 
@@ -848,8 +825,8 @@ def _truth(
     bound: int,
     scales: "ScaleRegistry | None",
 ) -> int:
-    """The classes (see ``_classes``) in which an epistemic-free lf is true,
-    with the truth conditions of ``evaluate``."""
+    """The classes (see ``_classes``) in which lf is true, with the truth
+    conditions of ``evaluate``."""
     k = len(preds)
     full = _classes(k, bound)[0]
     if isinstance(lf, Quant):
@@ -885,10 +862,6 @@ def _truth(
         for d in lf.disjuncts:
             out |= _truth(d, preds, bound, scales)
         return out
-    if isinstance(lf, Know):
-        raise EpistemicContextRequired(
-            "know cannot be evaluated against a single model; use an epistemic context"
-        )
     raise TypeError(f"not a logical form: {lf!r}")
 
 
@@ -902,12 +875,7 @@ def _check_sequents(lfs: tuple[LogicalForm, ...], preds: tuple[PredicateSym, ...
         raise ValueError("bound must be >= 1")
     declared = {p.name for p in preds}
     for lf in lfs:
-        facts = _form_facts(lf)
-        if not facts.epistemic_free:
-            raise EpistemicContextRequired(
-                "entailment and consistency are defined for epistemic-free forms"
-            )
-        used = {p.name for p in facts.preds}
+        used = {p.name for p in _form_facts(lf).preds}
         if not used <= declared:
             raise DeclarationError(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"

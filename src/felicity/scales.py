@@ -29,7 +29,6 @@ _CHECK_B = PredicateSym("scale-check-b")
 _CHECK_PREDS = (_CHECK_A, _CHECK_B)
 
 
-@lru_cache(maxsize=256)
 def _verify_strength_order(members: tuple[Quantifier, ...]):
     # Strictness of consecutive pairs gives strictness of the whole
     # chain by transitivity of bounded entailment.
@@ -53,8 +52,8 @@ def _verify_strength_order(members: tuple[Quantifier, ...]):
 
 
 class Scale(Interned):
-    """A scale, interned like the forms. Every construction validates; the
-    strength order of a member sequence is verified once per process."""
+    """A scale, interned like the forms. Building a scale that is not live
+    validates it, its strength order included."""
 
     members: tuple[Quantifier, ...]
 

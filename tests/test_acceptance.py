@@ -19,7 +19,6 @@ from felicity import (
     AndSeq,
     Atom,
     ContextState,
-    Know,
     Mechanism,
     MOST,
     NO,
@@ -252,7 +251,8 @@ def test_criterion_5_blindness_fuzz():
         )
         pruned = prune_settled(alts, base_ctx)
         baseline_exh = render_lf(exh(target, pruned))
-        baseline_primary = tuple(render_lf(NotLF(Know(m))) for m in pruned.stronger())
+        # The primary implicatures not-certain(m), one per stronger alternative m.
+        baseline_primary = pruned.stronger()
         pool = []
         for text in fact_pool:
             try:
@@ -280,7 +280,7 @@ def test_criterion_5_blindness_fuzz():
         )
         pruned = prune_settled(alts, ctx)
         assert render_lf(exh(scenario.target, pruned)) == baseline_exh
-        assert tuple(render_lf(NotLF(Know(m))) for m in pruned.stronger()) == baseline_primary
+        assert pruned.stronger() == baseline_primary
         mutations += 1
     _passed("criterion 5: blindness holds across 200 ck mutations")
 

@@ -13,7 +13,6 @@ from felicity import (
     AndLF,
     Atom,
     ContextState,
-    Know,
     MOST,
     NO,
     NotLF,
@@ -295,7 +294,7 @@ class TestDisjunctionIgnorance:
         ctx = ctx_with(scales=short_registry)
         expansion = expand_qi(ITALIAN, Atom(WARM), short_registry.scales[0])
         out = disjunction_ignorance(expansion, ctx)
-        assert NotLF(Know(ALL_WARM)) in out
+        assert ALL_WARM in out
 
     def test_discourse_prunes_settled_disjunct(self, short_registry):
         ctx = ctx_with(
@@ -310,8 +309,7 @@ class TestDisjunctionIgnorance:
         # the weakest mate is what the disjunction amounts to; no ignorance
         ctx = ctx_with(scales=short_registry)
         expansion = expand_qi(ITALIAN, Atom(WARM), short_registry.scales[0])
-        targets = [i.body.body for i in disjunction_ignorance(expansion, ctx)]
-        assert SOME_WARM not in targets
+        assert SOME_WARM not in disjunction_ignorance(expansion, ctx)
 
     def test_a_single_disjunct_has_no_ignorance_inference(self, short_registry):
         # a one-member scale expands to one disjunct, which the whole forces
@@ -327,19 +325,19 @@ class TestDisjunctionIgnorance:
 class TestPresuppositions:
     def test_universal_presupposes_existence_and_content(self):
         p = presupposition(ALL_CONJ, PresupVariant.WEAK)
-        assert p.content == AndLF(some(ITALIAN, TRUE), ALL_CONJ)
+        assert p == AndLF(some(ITALIAN, TRUE), ALL_CONJ)
 
     def test_exhaustified_some_adds_but_not_all(self):
         p = presupposition(SOME_CONJ, PresupVariant.EXHAUSTIFIED)
-        assert p.content == AndLF(
+        assert p == AndLF(
             AndLF(some(ITALIAN, TRUE), SOME_CONJ), NotLF(ALL_CONJ)
         )
 
     def test_weak_existential_collapses_to_existence(self):
         exist = some(ITALIAN, TRUE)
         p = presupposition(exist, PresupVariant.WEAK)
-        assert entails([p.content], exist, (ITALIAN,))
-        assert entails([exist], p.content, (ITALIAN,))
+        assert entails([p], exist, (ITALIAN,))
+        assert entails([exist], p, (ITALIAN,))
 
     def test_only_strips_to_prejacent(self):
         assert presupposition(Only(SOME_WARM), PresupVariant.WEAK) == presupposition(
@@ -366,5 +364,5 @@ class TestPresuppositions:
         # exhaustified variant: the two contents exclude each other
         p1 = presupposition(ALL_CONJ, PresupVariant.WEAK)
         p2 = presupposition(SOME_CONJ, PresupVariant.EXHAUSTIFIED)
-        assert consistent([p1.content, p2.content], ITALIAN_PREDS) is False
+        assert consistent([p1, p2], ITALIAN_PREDS) is False
         assert presup_strictly_stronger(p1, p2, ITALIAN_PREDS) is False

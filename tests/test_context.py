@@ -12,14 +12,12 @@ from felicity import (
     Atom,
     ContextState,
     InconsistentContextError,
-    Know,
     NO,
     NotLF,
     OrLF,
     Quant,
     SOME,
     TRUE,
-    UnsupportedNestingError,
     UpdateContradictionError,
     Verdict,
     consistent,
@@ -76,10 +74,6 @@ class TestConstruction:
         with pytest.raises(InconsistentContextError):
             ctx_with(ck=(SOME_WARM,), discourse=(Quant(NO, ITALIAN, Atom(WARM)),))
 
-    def test_epistemic_content_rejected(self):
-        with pytest.raises(UnsupportedNestingError):
-            ctx_with(ck=(Know(SOME_WARM),))
-
 
 class TestCertaintyAndPossibility:
     def test_ck_makes_universal_certain(self):
@@ -129,11 +123,6 @@ class TestCertaintyAndPossibility:
         assert k_holds(ctx, implication)
         assert k_holds(ctx, ALL_WARM)
         assert k_holds(ctx, SOME_WARM)
-
-    def test_nested_epistemic_rejected(self):
-        ctx = ctx_with()
-        with pytest.raises(UnsupportedNestingError):
-            k_holds(ctx, Know(SOME_WARM))
 
 
 class TestContextualEntailment:

@@ -22,8 +22,6 @@ from felicity import (
     AndSeq,
     Atom,
     DeclarationError,
-    EpistemicContextRequired,
-    Know,
     Model,
     MOST,
     NO,
@@ -162,11 +160,6 @@ class TestEvaluate:
         m = Model(["a"], {"italian": [], "warm": []})
         assert evaluate(all_(ITALIAN, Atom(WARM)), m, full_registry) is True
 
-    def test_epistemic_node_rejected(self, full_registry):
-        m = Model(["a"], {"italian": ["a"], "warm": ["a"]})
-        with pytest.raises(EpistemicContextRequired):
-            evaluate(Know(some(ITALIAN, Atom(WARM))), m, full_registry)
-
     def test_only_without_scale_rejected(self):
         m = Model(["a"], {"italian": ["a"], "warm": ["a"]})
         with pytest.raises(ScaleError):
@@ -257,10 +250,6 @@ class TestEntails:
             entails([some(ITALIAN, Atom(WARM))], all_(ITALIAN, Atom(WARM)), (ITALIAN, WARM))
             is False
         )
-
-    def test_epistemic_premise_rejected(self):
-        with pytest.raises(EpistemicContextRequired):
-            entails([Know(some(ITALIAN, Atom(WARM)))], some(ITALIAN, Atom(WARM)), (ITALIAN, WARM))
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -831,7 +820,7 @@ _CLAUSE = some(ITALIAN, Atom(WARM))
 _NODES = [
     WARM, Atom(WARM), TRUE, NotP(Atom(WARM)), AndConc(Atom(WARM), TRUE),
     AndSeq(Atom(WON), Atom(LEFT)), _CLAUSE, Only(_CLAUSE), NotLF(_CLAUSE),
-    AndLF(_CLAUSE, _CLAUSE), OrLF((_CLAUSE, _CLAUSE)), Know(_CLAUSE),
+    AndLF(_CLAUSE, _CLAUSE), OrLF((_CLAUSE, _CLAUSE)),
     Scale((SOME, ALL)), ScaleRegistry((Scale((SOME, ALL)),)),
 ]
 _NODE_IDS = [type(node).__name__ for node in _NODES]
@@ -844,7 +833,7 @@ class TestInternedContract:
 
     def test_the_sample_covers_every_node_class(self):
         assert sorted(_NODE_IDS) == sorted(c.__name__ for c in _interned_classes())
-        assert len(_NODES) == 14
+        assert len(_NODES) == 13
 
     @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
     def test_fields_cannot_be_assigned_or_deleted(self, node):
@@ -935,13 +924,16 @@ class TestRecords:
     through the constructor."""
 
     def test_records_of_different_classes_with_equal_fields_differ(self):
-        from felicity import Alternative, Presup, Tag
+        from felicity import Alternative, Tag
+
+        class Twin(logic.record("Alternative", "form tag")):
+            __slots__ = ()
 
         clause = some(ITALIAN, Atom(WARM))
         alt = Alternative(clause, Tag.STRONGER)
         assert alt == Alternative(form=clause, tag=Tag.STRONGER)
         assert hash(alt) == hash(Alternative(clause, Tag.STRONGER)) == hash((clause, Tag.STRONGER))
-        assert alt != Presup(clause, Tag.STRONGER) and not alt == Presup(clause, Tag.STRONGER)
+        assert alt != Twin(clause, Tag.STRONGER) and not alt == Twin(clause, Tag.STRONGER)
         assert alt != (clause, Tag.STRONGER) and not alt == (clause, Tag.STRONGER)
         assert (clause, Tag.STRONGER) != alt and not (clause, Tag.STRONGER) == alt
         assert [alt] != [(clause, Tag.STRONGER)]
@@ -972,26 +964,12 @@ class TestRecords:
             alts._replace(members=(Alternative(clause, Tag.WEAKER),))
 
 
-def _epistemic_forms(preds, depth):
-    if depth <= 0:
-        return _forms(preds, 0)
-    sub = _epistemic_forms(preds, depth - 1)
-    return st.one_of(
-        _forms(preds, 1),
-        st.builds(Know, sub),
-        st.builds(NotLF, sub),
-        st.builds(AndLF, sub, sub),
-        st.builds(OrLF, st.tuples(sub, sub)),
-    )
-
-
 # The error every oracle must raise, and the (premises, conclusion, preds,
 # bound) of a query that raises it.
 _ONE = [some(ITALIAN, Atom(WARM))]
 _INVALID = {
     "undeclared predicate": (DeclarationError, _ONE, some(ITALIAN, Atom(BLOND)),
                              (ITALIAN, WARM), 3),
-    "know form": (EpistemicContextRequired, [Know(_ONE[0])], _ONE[0], ITALIAN_PREDS, 3),
     "bound 0": (ValueError, _ONE, _ONE[0], ITALIAN_PREDS, 0),
     "over budget": (ResourceBudgetError, _ONE, _ONE[0], ITALIAN_PREDS, 9),
     "duplicate names": (WellFormednessError, _ONE, _ONE[0],
@@ -1067,12 +1045,12 @@ class TestFrontDoor:
             logic.existence_premises([forms[0], [forms[1]]])
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_epistemic_forms(_POOL, 3), _scopes(_POOL, 3), st.sampled_from(_POOL)))
+    @given(st.one_of(_forms(_POOL, 3), _scopes(_POOL, 3), st.sampled_from(_POOL)))
     def test_form_facts_match_a_whole_tree_walk(self, node):
         facts = _walk_facts(node)
         assert logic.node_facts(node) == facts
         if facts[0]:
-            assert (logic.is_epistemic_free(node), logic.lf_predicates(node)) == facts[1:3]
+            assert logic.lf_predicates(node) == facts[1]
             assert analyze_reading(node) is _walk_reading(node)
         else:
             with pytest.raises(TypeError, match="^not a logical form: "):
@@ -1099,13 +1077,12 @@ def _walk(node):
 
 def _walk_facts(node):
     """Reference for the stored node facts, from a generic walk over every
-    node's fields: (a logical form, no Know anywhere, every
-    predicate symbol, every restrictor, an eventive symbol, an and-seq, an
-    and-conc), symbols in order of occurrence."""
+    node's fields: (a logical form, every predicate symbol, every
+    restrictor, an eventive symbol, an and-seq, an and-conc), symbols in
+    order of occurrence."""
     nodes = _walk(node)
     return (
-        isinstance(node, (Quant, Only, NotLF, AndLF, OrLF, Know)),
-        not any(isinstance(n, Know) for n in nodes),
+        isinstance(node, (Quant, Only, NotLF, AndLF, OrLF)),
         tuple(n for n in nodes if isinstance(n, PredicateSym)),
         tuple(n.restrictor for n in nodes if isinstance(n, Quant)),
         any(isinstance(n, PredicateSym) and n.temporal_class == "eventive" for n in nodes),

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -34,6 +35,8 @@ SCALES = (
     ("some", "most", "all"), ("some", "all"), ("some", "most"), ("qi", "most", "all"),
     ("no",), ("qi",), ("all", "some"),
 )
+# One item of an ignorance step's output: not-certain(d) for a live disjunct d.
+IGNORANCE_ITEM = re.compile(r"\(not \(know (.*)\)\)\Z")
 
 
 def _scopes(preds: list[str], eventive: list[str]):
@@ -75,7 +78,7 @@ def _section(name: str, items: list[str]) -> str:
 @st.composite
 def scenarios(draw) -> str:
     stative = [f"s{i}" for i in range(draw(st.integers(0, 2)))]
-    eventive = [f"e{i}" for i in range(draw(st.integers(0 if stative else 1, 3 - len(stative))))]
+    eventive = [f"e{i}" for i in range(draw(st.integers(0 if stative else 1, 4 - len(stative))))]
     preds = stative + eventive
     declared = " ".join(
         [f"({p} :stative)" for p in stative] + [f"({p} :eventive)" for p in eventive]
@@ -135,6 +138,12 @@ def test_generated_scenarios_keep_the_error_contract(scenario_path, text):
         for verdict in judgment.theories:
             for step in verdict.trace:
                 assert replay_step(step, ctx) == step.output, (verdict.theory, step)
+                if step.rule == "ignorance" and step.output != "(none)":
+                    event("ignorance inferred")
+                    for item in step.output.split("; "):
+                        disjunct = IGNORANCE_ITEM.match(item)
+                        assert disjunct, step
+                        assert render_lf(parse_lf(disjunct[1], preds)) == disjunct[1], step
         expected_code = 0 if judgment.aggregate == scenario.expect else 1
     code, err = _cli("check", str(scenario_path))
     assert code == expected_code and "internal error" not in err, err

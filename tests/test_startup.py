@@ -94,7 +94,7 @@ def test_start_up_does_not_import_dataclasses_inspect_typing_or_pathlib(probe):
 
 
 def test_node_classes_define_no_init_repr_or_setattr_of_their_own(probe):
-    assert probe["classes"] == 14
+    assert probe["classes"] == 13
     assert probe["own"] == []
 
 
@@ -104,7 +104,7 @@ def test_no_class_is_a_dataclass(probe):
 
 def test_every_record_class_is_a_slotted_tuple(probe):
     records = [
-        "Alternative", "AlternativeSet", "ContextState", "Judgment", "Presup", "Report",
+        "Alternative", "AlternativeSet", "ContextState", "Judgment", "Report",
         "Scenario", "TheoryRow", "TheoryVerdict",
     ]
     assert probe["records"] == records
