@@ -339,6 +339,16 @@ class TestPresuppositions:
         assert entails([p], exist, (ITALIAN,))
         assert entails([exist], p, (ITALIAN,))
 
+    @pytest.mark.parametrize("variant", list(PresupVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("lf", [ALL_WARM, SOME_WARM], ids=["all", "some"])
+    def test_presupposition_is_a_form_entailing_existence_and_the_clause(self, lf, variant):
+        p = presupposition(lf, variant)
+        assert entails([p], some(ITALIAN, TRUE), ITALIAN_PREDS)
+        assert entails([p], lf, ITALIAN_PREDS)
+        # only the exhaustified some also denies the universal
+        denies_all = not consistent([p, ALL_WARM], ITALIAN_PREDS)
+        assert denies_all is (lf is SOME_WARM and variant is PresupVariant.EXHAUSTIFIED)
+
     def test_only_strips_to_prejacent(self):
         assert presupposition(Only(SOME_WARM), PresupVariant.WEAK) == presupposition(
             SOME_WARM, PresupVariant.WEAK

@@ -125,6 +125,24 @@ class TestCertaintyAndPossibility:
         assert k_holds(ctx, SOME_WARM)
 
 
+class TestQueriesTakeFormsOnly:
+    """Context queries and updates hand their form to the logic's front
+    door, which rejects anything that is not a logical form."""
+
+    @pytest.mark.parametrize(
+        "query", [k_holds, p_holds, settled_by_discourse, update_discourse],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "bad", [Atom(WARM), [SOME_WARM], WARM], ids=["atom", "list", "predicate"]
+    )
+    def test_a_non_form_is_rejected(self, query, bad):
+        ctx = ctx_with(discourse=(SOME_WARM,))
+        with pytest.raises(TypeError, match="^not a logical form: "):
+            query(ctx, bad)
+        assert ctx.discourse == (SOME_WARM,)
+
+
 class TestContextualEntailment:
     def test_entails_own_common_knowledge(self):
         ctx = ctx_with(ck=(ALL_WARM,))

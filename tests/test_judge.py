@@ -14,12 +14,15 @@ from felicity import (
     Atom,
     ContextState,
     Mechanism,
+    MOST,
     NO,
     NotLF,
     Only,
     ParseError,
     Quant,
     Reading,
+    Scale,
+    ScaleRegistry,
     Scenario,
     SOME,
     TRUE,
@@ -465,6 +468,26 @@ class TestTraceIntegrity:
     def test_a_malformed_step_is_rejected(self, italian_ctx, step, message):
         with pytest.raises(ValueError, match=message):
             replay_step(step, italian_ctx)
+
+    @pytest.mark.parametrize(
+        "members, discourse, output",
+        [
+            ((SOME, MOST, ALL), (),
+             "(not (know (all italian warm))); (not (know (most italian warm)))"),
+            ((SOME, ALL), (), "(not (know (all italian warm)))"),
+            ((SOME, MOST, ALL), (ALL_WARM,), "(none)"),
+        ],
+        ids=["two live disjuncts", "one live disjunct", "settled by discourse"],
+    )
+    def test_the_ignorance_step_prints_not_certain_of_each_live_disjunct(
+        self, members, discourse, output
+    ):
+        ctx = ContextState(
+            common_knowledge=(), discourse=discourse, preds=ITALIAN_PREDS,
+            scales=ScaleRegistry((Scale(members),)),
+        )
+        expansion = "(or " + " ".join(f"({q.value} italian warm)" for q in members[::-1]) + ")"
+        assert replay_step(TraceStep("ignorance", (expansion,), ""), ctx) == output
 
     def test_an_undeclared_restrictor_raises_the_parsers_error(self, italian_ctx):
         step = TraceStep("qi-expansion", ("german", "(and-conc warm blond)"), "(none)")
