@@ -56,7 +56,6 @@ from .alternatives import (
     Alternative,
     AlternativeSet,
     PresupVariant,
-    PresuppositionUndefinedError,
     Tag,
     disjunction_ignorance,
     exh,

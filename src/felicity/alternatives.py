@@ -22,7 +22,6 @@ from .logic import (
     ALL,
     AndLF,
     DEFAULT_BOUND,
-    FelicityError,
     LogicalForm,
     NotLF,
     Only,
@@ -39,10 +38,6 @@ from .logic import (
 )
 from .context import ContextState, settled_by_discourse
 from .scales import ScaleRegistry
-
-
-class PresuppositionUndefinedError(FelicityError):
-    """The form has no presupposition rule."""
 
 
 class Tag(Enum):
@@ -140,12 +135,10 @@ def substitution_alternatives(
     the alternatives of the same clauses, and the result is immutable.
     """
     preds = _declared(lf)
-    seen: dict[LogicalForm, None] = {}
-    for variant in _variants(lf, scales):
-        if variant != lf:
-            seen.setdefault(variant, None)
+    # The first variant is lf itself; the others are distinct nodes.
     members = tuple(
-        Alternative(form, _tag(form, lf, preds, bound, scales)) for form in seen
+        Alternative(form, _tag(form, lf, preds, bound, scales))
+        for form in _variants(lf, scales)[1:]
     )
     return AlternativeSet(origin=lf, members=members)
 
@@ -222,24 +215,18 @@ def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, .
 # ---------------------------------------------------------------------------
 
 
-def presupposition(lf: LogicalForm, variant: PresupVariant) -> LogicalForm:
+def presupposition(lf: LogicalForm, variant: PresupVariant) -> LogicalForm | None:
     """Existence-plus-content presupposition of a quantified clause.
 
     all(A)(S) presupposes that A is nonempty and that all of them are S;
     some(A)(S) presupposes existence plus some, with the exhaustified
     variant additionally carrying "but not all". An overt 'only' is stripped
-    to its prejacent first. Other forms have no presupposition rule.
+    to its prejacent first. Other forms have no presupposition rule: None.
     """
     if isinstance(lf, Only):
         lf = lf.body
-    if not isinstance(lf, Quant):
-        raise PresuppositionUndefinedError(
-            f"no presupposition rule for {type(lf).__name__}"
-        )
-    if lf.quantifier not in (ALL, SOME):
-        raise PresuppositionUndefinedError(
-            f"no presupposition rule for quantifier {lf.quantifier.value!r}"
-        )
+    if not isinstance(lf, Quant) or lf.quantifier not in (ALL, SOME):
+        return None
     content = AndLF(Quant(SOME, lf.restrictor, TRUE), lf)
     if lf.quantifier is SOME and variant is PresupVariant.EXHAUSTIFIED:
         content = AndLF(content, NotLF(Quant(ALL, lf.restrictor, lf.scope)))

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .dsl import THEORY_NAMES, Scenario, parse_scenario
-from .judge import Mechanism, judge
+from .judge import judge
 from .logic import FelicityError
 from .report import build_report, render_report, render_traces
 from .sexpr import ParseError
@@ -115,9 +115,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise FelicityError(f"{path}: scenario {scenario.name!r} has no (expect ...) clause")
         judgment = judge(scenario)
         got = judgment.aggregate
-        fired = [
-            v.mechanism.value for v in judgment.theories if v.mechanism is not Mechanism.NONE
-        ]
+        fired = [v.mechanism.value for v in judgment.theories if v.fired]
         fired_note = ", ".join(fired) if fired else "none"
         if got == scenario.expect:
             print(f"ok {scenario.name}: {got.value} (fired: {fired_note})")

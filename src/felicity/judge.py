@@ -22,7 +22,6 @@ from enum import Enum
 from .alternatives import (
     AlternativeSet,
     PresupVariant,
-    PresuppositionUndefinedError,
     disjunction_ignorance,
     exh,
     presup_strictly_stronger,
@@ -91,25 +90,30 @@ class Mechanism(Enum):
 TraceStep = namedtuple("TraceStep", "rule inputs output")
 
 
-class TheoryVerdict(record("TheoryVerdict", "theory verdict mechanism trace")):
-    """One theory's verdict, the mechanism that fired (if any) and its trace."""
+class TheoryVerdict(record("TheoryVerdict", "theory mechanism trace")):
+    """One theory's trace and the mechanism that fired, if any; the verdict
+    is odd exactly when one did."""
 
     __slots__ = ()
-
-    def __new__(cls, theory, verdict, mechanism, trace):
-        if (verdict is Verdict.ODD) != (mechanism is not Mechanism.NONE):
-            raise ValueError("a verdict is odd exactly when a mechanism fired")
-        return tuple.__new__(cls, (theory, verdict, mechanism, trace))
 
     @property
     def fired(self) -> bool:
         return self.mechanism is not Mechanism.NONE
 
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.FELICITOUS if self.mechanism is Mechanism.NONE else Verdict.ODD
 
-class Judgment(record("Judgment", "reading theories aggregate continuations", ((),))):
-    """The verdicts of all enabled theories on one target, and their aggregate."""
+
+class Judgment(record("Judgment", "reading theories continuations", ((),))):
+    """The verdicts of all enabled theories on one target; the aggregate is
+    odd exactly when some theory fired."""
 
     __slots__ = ()
+
+    @property
+    def aggregate(self) -> Verdict:
+        return Verdict.ODD if any(v.fired for v in self.theories) else Verdict.FELICITOUS
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +215,6 @@ def _ck_consistent(ctx: ContextState, *lfs: LogicalForm) -> bool:
     return consistent(ctx.common_knowledge + lfs, ctx.preds, ctx.bound, ctx.scales)
 
 
-def _presupposition(ctx: ContextState, lf: LogicalForm, variant: PresupVariant):
-    """The presupposition, or None where the form has no rule for one."""
-    try:
-        return presupposition(lf, variant)
-    except PresuppositionUndefinedError:
-        return None
-
-
 def _reading_gate(ctx: ContextState, clause: LogicalForm):
     """The clause's reading, with the prejacent the indirect route expands:
     a some-clause over a concurrent conjunction, with ``some`` on a scale.
@@ -250,7 +246,7 @@ RULES: dict[str, Rule] = {
     "ck-consistency": Rule((FORM,), _ck_consistent, _CONSISTENCY),
     "presupposition": Rule(
         (FORM, VARIANT),
-        _presupposition,
+        lambda ctx, lf, variant: presupposition(lf, variant),
         lambda p: "undefined" if p is None else render_lf(p),
     ),
     "presup-strength": Rule(
@@ -469,9 +465,7 @@ def _traced_clauses(
 
 def _verdict(theory: str, fired: list[Mechanism], trace: list[TraceStep]) -> TheoryVerdict:
     """The verdict of a theory; the first mechanism that fired names it."""
-    if fired:
-        return TheoryVerdict(theory, Verdict.ODD, fired[0], tuple(trace))
-    return TheoryVerdict(theory, Verdict.FELICITOUS, Mechanism.NONE, tuple(trace))
+    return TheoryVerdict(theory, fired[0] if fired else Mechanism.NONE, tuple(trace))
 
 
 _PREDICTORS = {
@@ -506,16 +500,8 @@ def judge(scenario: Scenario) -> Judgment:
     if unknown:
         raise FelicityError(f"unknown theories {unknown}; pick from {THEORY_NAMES}")
     verdicts = tuple(_PREDICTORS[n](scenario.target, ctx) for n in scenario.enabled_theories)
-    aggregate = (
-        Verdict.ODD if any(v.fired for v in verdicts) else Verdict.FELICITOUS
-    )
     continuations = tuple(
         (c, continuation_felicity(ctx, scenario.target, c))
         for c in scenario.continuations
     )
-    return Judgment(
-        reading=reading,
-        theories=verdicts,
-        aggregate=aggregate,
-        continuations=continuations,
-    )
+    return Judgment(reading, verdicts, continuations)

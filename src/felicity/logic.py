@@ -562,18 +562,14 @@ class Model:
 
 def check_budget(bound: int, n_preds: int):
     """Reject a model space of more than ``2**BUDGET_BITS`` labeled models of
-    the largest size, i.e. ``bound * n_preds > BUDGET_BITS``; the 24-bit budget is fixed."""
-    if bound * n_preds > BUDGET_BITS:
+    the largest size, i.e. ``bound * n_preds > BUDGET_BITS``; the 24-bit budget
+    is fixed. Zero predicates count as one, so no universe exceeds 24
+    individuals."""
+    if bound * max(n_preds, 1) > BUDGET_BITS:
         raise ResourceBudgetError(
             f"bound {bound} x {n_preds} predicates exceeds the"
             f" {BUDGET_BITS}-bit enumeration budget"
         )
-
-
-def _universe_labels(n: int) -> tuple[str, ...]:
-    if n <= 26:
-        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
-    return tuple(f"x{i + 1}" for i in range(n))
 
 
 def enumerate_models(preds: Sequence[PredicateSym], max_universe: int) -> Iterator[Model]:
@@ -590,7 +586,7 @@ def enumerate_models(preds: Sequence[PredicateSym], max_universe: int) -> Iterat
     check_budget(max_universe, len(preds))
     names = [p.name for p in preds]
     for n in range(max_universe + 1):
-        universe = _universe_labels(n)
+        universe = tuple("abcdefghijklmnopqrstuvwxyz"[:n])
         for assignment in product(range(1 << n), repeat=len(names)):
             yield Model._from_masks(universe, dict(zip(names, assignment)))
 

@@ -16,6 +16,7 @@ from felicity import (
     NotLF,
     OrLF,
     Quant,
+    ResourceBudgetError,
     SOME,
     TRUE,
     UpdateContradictionError,
@@ -73,6 +74,10 @@ class TestConstruction:
     def test_inconsistent_construction_rejected(self):
         with pytest.raises(InconsistentContextError):
             ctx_with(ck=(SOME_WARM,), discourse=(Quant(NO, ITALIAN, Atom(WARM)),))
+
+    def test_bound_over_budget_rejected_without_predicates(self):
+        with pytest.raises(ResourceBudgetError):
+            ContextState(bound=25)
 
 
 class TestCertaintyAndPossibility:

@@ -260,6 +260,15 @@ class TestEntails:
         with pytest.raises(ResourceBudgetError):
             entails([], some(preds[0], TRUE), preds, bound=4)
 
+    def test_zero_predicates_count_as_one_against_the_budget(self):
+        # The class table still grows with the bound when there are no
+        # predicates, so 25 individuals are over the 24-bit budget.
+        with pytest.raises(ResourceBudgetError):
+            consistent([], (), 25)
+        with pytest.raises(ResourceBudgetError):
+            list(enumerate_models((), 25))
+        assert consistent([], (), 24) is True
+
     def test_reflexive(self):
         forms = [
             some(ITALIAN, Atom(WARM)),

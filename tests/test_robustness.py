@@ -35,6 +35,8 @@ SCALES = (
     ("some", "most", "all"), ("some", "all"), ("some", "most"), ("qi", "most", "all"),
     ("no",), ("qi",), ("all", "some"),
 )
+# The accepted scales that hold some: the indirect route needs one.
+SOME_SCALES = SCALES[:3]
 # One item of an ignorance step's output: not-certain(d) for a live disjunct d.
 IGNORANCE_ITEM = re.compile(r"\(not \(know (.*)\)\)\Z")
 
@@ -83,14 +85,26 @@ def scenarios(draw) -> str:
     declared = " ".join(
         [f"({p} :stative)" for p in stative] + [f"({p} :eventive)" for p in eventive]
     )
-    scales = draw(st.lists(st.sampled_from(SCALES).map(lambda s: f"({' '.join(s)})"), max_size=2))
-    forms = _forms(preds, eventive)
+    scales = draw(st.lists(st.sampled_from(SCALES), max_size=2))
+    forms = target = _forms(preds, eventive)
+    individuals = st.integers(1, 3)
+    if draw(st.integers(0, 2)) == 0:
+        # The shape the indirect route expands: some over a concurrent
+        # conjunction of other predicates, with some on the first scale that
+        # holds it, and room for some but not all.
+        individuals = st.integers(2, 3)
+        scales.insert(0, draw(st.sampled_from(SOME_SCALES)))
+        restrictor = draw(st.sampled_from(preds))
+        branch = st.sampled_from([p for p in preds if p != restrictor] or preds)
+        target = st.tuples(branch, branch).map(
+            lambda xy: f"(some {restrictor} (and-conc {xy[0]} {xy[1]}))"
+        )
     return (
-        f"(scenario fuzz\n  (individuals {draw(st.integers(1, 3))})\n  (predicates {declared})"
-        + _section("scales", scales)
+        f"(scenario fuzz\n  (individuals {draw(individuals)})\n  (predicates {declared})"
+        + _section("scales", [f"({' '.join(s)})" for s in scales])
         + _section("common-knowledge", draw(st.lists(forms, max_size=1)))
         + _section("discourse", draw(st.lists(forms, max_size=1)))
-        + f"\n  (target {draw(forms)})"
+        + f"\n  (target {draw(target)})"
         + _section("continuations", draw(st.lists(forms, max_size=2)))
         + f"\n  (expect {draw(st.sampled_from(['odd', 'felicitous']))}))"
     )
