@@ -30,7 +30,6 @@ from .logic import (
     Quant,
     SOME,
     TRUE,
-    consistent,
     entails,
     entails_with_existential_import,
     lf_predicates,
@@ -166,8 +165,8 @@ def exh(
     bound: int = DEFAULT_BOUND,
     scales: ScaleRegistry | None = None,
 ) -> LogicalForm:
-    """Strengthen lf by negating every stronger alternative whose negation
-    is consistent with it.
+    """Strengthen lf by negating every stronger alternative that lf does
+    not entail.
 
     Deliberately blind: no context argument exists. Each negation is tested
     on its own; there is no innocent exclusion. That is exact when the
@@ -181,9 +180,7 @@ def exh(
         raise ValueError("alternative set was computed for a different origin")
     preds = _declared(lf, *alts.forms())
     negations = [
-        NotLF(m)
-        for m in alts.stronger()
-        if consistent([lf, NotLF(m)], preds, bound, scales)
+        NotLF(m) for m in alts.stronger() if not entails([lf], m, preds, bound, scales)
     ]
     return reduce(AndLF, negations, lf)
 

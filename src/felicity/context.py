@@ -16,7 +16,6 @@ from .logic import (
     DEFAULT_BOUND,
     FelicityError,
     LogicalForm,
-    NotLF,
     consistent,
     entails,
     existence_premises,
@@ -109,15 +108,15 @@ def _discourse_premises(ctx: ContextState) -> tuple[LogicalForm, ...]:
 
 
 def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:
-    """The discourse record alone decides lf, positively or negatively.
+    """The discourse record alone decides lf: it entails lf, or it is
+    inconsistent with lf.
 
     Common knowledge is deliberately not consulted: this is the relevance
     test, and it must stay blind to the background tier.
     """
     premises = _discourse_premises(ctx)
-    return entails(premises, lf, ctx.preds, ctx.bound, ctx.scales) or entails(
-        premises, NotLF(lf), ctx.preds, ctx.bound, ctx.scales
-    )
+    entailed = entails(premises, lf, ctx.preds, ctx.bound, ctx.scales)
+    return entailed or not consistent(premises + (lf,), ctx.preds, ctx.bound, ctx.scales)
 
 
 def update_discourse(ctx: ContextState, lf: LogicalForm) -> ContextState:

@@ -447,8 +447,7 @@ def predict_indirect_contradiction(lf: LogicalForm, ctx: ContextState) -> Theory
             continue
         for branch in (prejacent.scope.left, prejacent.scope.right):
             expansion = _step(trace, ctx, "qi-expansion", prejacent.restrictor, branch)
-            if not _step(trace, ctx, "expansion-licensed", prejacent, expansion):
-                continue
+            _step(trace, ctx, "expansion-licensed", prejacent, expansion)
             for disjunct in _step(trace, ctx, "ignorance", expansion):
                 if _step(trace, ctx, "clash-check", disjunct):
                     fired.append(Mechanism.INDIRECT_CONTEXTUAL_CONTRADICTION)

@@ -866,20 +866,6 @@ def _truth(
 # ---------------------------------------------------------------------------
 
 
-def _check_sequents(lfs: tuple[LogicalForm, ...], preds: tuple[PredicateSym, ...], bound: int):
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    declared = {p.name for p in preds}
-    for lf in lfs:
-        used = {p.name for p in _form_facts(lf).preds}
-        if not used <= declared:
-            raise DeclarationError(
-                f"undeclared predicates {sorted(used - declared)} in {lf!r}"
-            )
-    check_budget(bound, len(preds))
-    _check_names(preds)
-
-
 def _ask(cached, *args):
     """Answer a query from ``cached``, a cache keyed by all of its
     arguments that validates them only on a miss. An invalid query
@@ -896,32 +882,32 @@ def _ask(cached, *args):
         raise
 
 
-@lru_cache(maxsize=16384)
-def _entails(
-    premises: tuple[LogicalForm, ...],
-    conclusion: LogicalForm,
+@lru_cache(maxsize=32768)
+def _satisfiable(
+    holds: tuple[LogicalForm, ...],
+    fails: tuple[LogicalForm, ...],
     preds: tuple[PredicateSym, ...],
     bound: int,
     scales: "ScaleRegistry | None",
 ) -> bool:
-    _check_sequents(premises + (conclusion,), preds, bound)
+    """True iff some class (see ``_classes``) makes every form of holds
+    true and every form of fails false."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    declared = {p.name for p in preds}
+    for lf in holds + fails:
+        used = {p.name for p in _form_facts(lf).preds}
+        if not used <= declared:
+            raise DeclarationError(
+                f"undeclared predicates {sorted(used - declared)} in {lf!r}"
+            )
+    check_budget(bound, len(preds))
+    _check_names(preds)
     models = _classes(len(preds), bound)[0]
-    for p in premises:
-        models &= _truth(p, preds, bound, scales)
-    return not (models & ~_truth(conclusion, preds, bound, scales))
-
-
-@lru_cache(maxsize=16384)
-def _consistent(
-    lfs: tuple[LogicalForm, ...],
-    preds: tuple[PredicateSym, ...],
-    bound: int,
-    scales: "ScaleRegistry | None",
-) -> bool:
-    _check_sequents(lfs, preds, bound)
-    models = _classes(len(preds), bound)[0]
-    for lf in lfs:
+    for lf in holds:
         models &= _truth(lf, preds, bound, scales)
+    for lf in fails:
+        models &= ~_truth(lf, preds, bound, scales)
     return models != 0
 
 
@@ -934,7 +920,7 @@ def entails(
 ) -> bool:
     """True iff no model of size <= bound satisfies all premises and
     falsifies the conclusion."""
-    return _ask(_entails, tuple(premises), conclusion, tuple(preds), bound, scales)
+    return not _ask(_satisfiable, tuple(premises), (conclusion,), tuple(preds), bound, scales)
 
 
 def consistent(
@@ -944,7 +930,7 @@ def consistent(
     scales: "ScaleRegistry | None" = None,
 ) -> bool:
     """True iff some model of size <= bound satisfies every member."""
-    return _ask(_consistent, tuple(lfs), tuple(preds), bound, scales)
+    return _ask(_satisfiable, tuple(lfs), (), tuple(preds), bound, scales)
 
 
 def entails_with_existential_import(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .context import Verdict
-from .dsl import render_lf
+from .dsl import THEORY_NAMES, render_lf
 from .judge import RULES, Judgment, Mechanism, Reading, TraceStep
 from .logic import record
 
@@ -59,35 +59,46 @@ def report_to_dict(report: Report) -> dict:
 def report_from_dict(data: dict) -> Report:
     """The report that ``report_to_dict`` turned into ``data``. Raises
     ``ValueError`` naming the key of any value of the wrong type or shape,
-    and of a verdict, reading, mechanism or rule that the engine does not
-    have."""
+    of a verdict, reading, mechanism, rule or theory that the engine does
+    not have, and of a verdict that contradicts the mechanisms that fired."""
     if not isinstance(data, dict):
         raise ValueError(f"a report must be an object, got {type(data).__name__}")
-    return Report(
+    report = Report(
         scenario=_get(data, "scenario", str),
         reading=_get(data, "reading", str, "", _READINGS),
         aggregate=_get(data, "aggregate", str, "", _VERDICTS),
-        theories=tuple(
-            TheoryRow(
-                name=_get(row, "name", str, at),
-                verdict=_get(row, "verdict", str, at, _VERDICTS),
-                mechanism=_get(row, "mechanism", str, at, _MECHANISMS),
-                trace=tuple(
-                    TraceStep(
-                        _get(s, "rule", str, step_at, RULES),
-                        tuple(x for _, x in _items(s, "inputs", str, step_at)),
-                        _get(s, "output", str, step_at),
-                    )
-                    for step_at, s in _items(row, "trace", dict, at)
-                ),
-            )
-            for at, row in _items(data, "theories", dict)
-        ),
+        theories=tuple(_row(row, at) for at, row in _items(data, "theories", dict)),
         continuations=tuple(
             (_get(c, "form", str, at), _get(c, "verdict", str, at, _VERDICTS))
             for at, c in _items(data, "continuations", dict)
         ),
     )
+    return _agree(report, report.aggregate, [r.mechanism for r in report.theories], "aggregate")
+
+
+def _row(row: dict, at: str) -> TheoryRow:
+    out = TheoryRow(
+        name=_get(row, "name", str, at, THEORY_NAMES),
+        verdict=_get(row, "verdict", str, at, _VERDICTS),
+        mechanism=_get(row, "mechanism", str, at, _MECHANISMS),
+        trace=tuple(
+            TraceStep(
+                _get(s, "rule", str, step_at, RULES),
+                tuple(x for _, x in _items(s, "inputs", str, step_at)),
+                _get(s, "output", str, step_at),
+            )
+            for step_at, s in _items(row, "trace", dict, at)
+        ),
+    )
+    return _agree(out, out.verdict, [out.mechanism], f"{at}.verdict")
+
+
+def _agree(value, verdict: str, mechanisms: list[str], path: str):
+    """``value``, once ``verdict`` (at ``path``) is odd iff a mechanism fired."""
+    fired = [m for m in mechanisms if m != Mechanism.NONE.value]
+    if verdict != (Verdict.ODD if fired else Verdict.FELICITOUS).value:
+        raise ValueError(f"report key {path!r} is {verdict!r} with fired mechanisms {fired}")
+    return value
 
 
 _VERDICTS = {v.value for v in Verdict}

@@ -11,6 +11,7 @@ import copy
 import pickle
 import sys
 import threading
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -995,6 +996,16 @@ _ORACLES = {
 }
 
 
+def _count_validations(monkeypatch) -> list:
+    """Give the oracle an empty cache whose misses are listed: each miss
+    runs the query's validation once, before any truth table."""
+    misses = []
+    body = logic._satisfiable.__wrapped__
+    counted = lru_cache(maxsize=None)(lambda *args: misses.append(args) or body(*args))
+    monkeypatch.setattr(logic, "_satisfiable", counted)
+    return misses
+
+
 class TestFrontDoor:
     """Each public oracle answers a repeated query from its caches and
     validates only on a miss; invalid queries are never cached."""
@@ -1018,11 +1029,7 @@ class TestFrontDoor:
         # predicates no other test uses, so the first call is a miss
         a, b = PredicateSym(f"door_{oracle}_a"), PredicateSym(f"door_{oracle}_b")
         query = ([some(a, Atom(b))], all_(a, Atom(b)), (a, b), 3)
-        checks = []
-        check = logic._check_sequents
-        monkeypatch.setattr(
-            logic, "_check_sequents", lambda *args: checks.append(args) or check(*args)
-        )
+        checks = _count_validations(monkeypatch)
         answer = _ORACLES[oracle](*query)
         assert len(checks) == 1
         assert _ORACLES[oracle](*query) is answer
@@ -1031,11 +1038,7 @@ class TestFrontDoor:
 
     @pytest.mark.parametrize("oracle", ["entails", "consistent"])
     def test_a_hashable_invalid_query_is_validated_once_per_call(self, oracle, monkeypatch):
-        checks = []
-        check = logic._check_sequents
-        monkeypatch.setattr(
-            logic, "_check_sequents", lambda *args: checks.append(args) or check(*args)
-        )
+        checks = _count_validations(monkeypatch)
         _, *query = _INVALID["predicate expression as a form"]
         for calls in (1, 2):
             with pytest.raises(TypeError):

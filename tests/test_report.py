@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from felicity import Mechanism, Reading, build_report, judge, parse_scenario, render_report
+from felicity import (
+    THEORY_NAMES, Mechanism, Reading, build_report, judge, parse_scenario, render_report,
+)
 from felicity.judge import RULES, TraceStep
 from felicity.report import Report, TheoryRow, _step_json, report_from_dict, report_to_dict
 
@@ -58,24 +60,38 @@ def _tuples(items, n: int):
     return st.lists(items, max_size=n).map(tuple)
 
 
-def _reports(verdicts, readings, mechanisms, rules):
-    """Reports whose verdict, reading, mechanism and rule fields are drawn
-    from the given strategies and whose other fields are any text."""
+def _reports(names, verdicts, readings, mechanisms, rules):
+    """Reports whose theory name, verdict, reading, mechanism and rule
+    fields are drawn from the given strategies and whose other fields are
+    any text."""
     steps = st.builds(TraceStep, rules, _tuples(_TEXT, 3), _TEXT)
-    rows = st.builds(TheoryRow, _TEXT, verdicts, mechanisms, _tuples(steps, 4))
+    rows = st.builds(TheoryRow, names, verdicts, mechanisms, _tuples(steps, 4))
     continuations = _tuples(st.tuples(_TEXT, verdicts), 3)
     return st.builds(Report, _TEXT, readings, verdicts, _tuples(rows, 3), continuations)
 
 
+def _odd_iff_fired(mechanisms) -> str:
+    return "odd" if any(m != "none" for m in mechanisms) else "felicitous"
+
+
+def _agreeing(report: Report) -> Report:
+    """The report with each row's verdict and the aggregate derived from
+    the mechanisms, as a judgment derives them."""
+    rows = tuple(r._replace(verdict=_odd_iff_fired([r.mechanism])) for r in report.theories)
+    return report._replace(aggregate=_odd_iff_fired([r.mechanism for r in rows]), theories=rows)
+
+
 # Any text anywhere: what the writer must encode as json.dumps does.
-_REPORTS = _reports(_TEXT, _TEXT, _TEXT, _TEXT)
-# Reports that report_from_dict accepts: the engine's own vocabularies.
+_REPORTS = _reports(_TEXT, _TEXT, _TEXT, _TEXT, _TEXT)
+# Reports that report_from_dict accepts: the engine's own vocabularies,
+# with every verdict agreeing with the mechanisms that fired.
 _KNOWN_REPORTS = _reports(
+    st.sampled_from(THEORY_NAMES),
     st.sampled_from(["odd", "felicitous"]),
     st.sampled_from([r.value for r in Reading]),
     st.sampled_from([m.value for m in Mechanism]),
     st.sampled_from(sorted(RULES)),
-)
+).map(_agreeing)
 
 
 def _fixture_report(name: str) -> Report:
@@ -155,6 +171,21 @@ class TestReportFromDict:
              "report key 'theories[0].trace[0].rule' has unknown value 'no-such-rule'"),
             (("continuations", 0, "verdict"), "Odd",
              "report key 'continuations[0].verdict' has unknown value 'Odd'"),
+            (("theories", 0, "name"), "nobody",
+             "report key 'theories[0].name' has unknown value 'nobody'"),
+            # A verdict is odd iff a mechanism fired: in its row, and in the aggregate.
+            (("theories", 0, "mechanism"), "mismatching-SI",
+             "report key 'theories[0].verdict' is 'felicitous' with fired mechanisms"
+             " ['mismatching-SI']"),
+            (("theories", 0, "verdict"), "odd",
+             "report key 'theories[0].verdict' is 'odd' with fired mechanisms []"),
+            (("theories", 4, "verdict"), "felicitous",
+             "report key 'theories[4].verdict' is 'felicitous' with fired mechanisms"
+             " ['indirect-contextual-contradiction']"),
+            (("aggregate",), "felicitous",
+             "report key 'aggregate' is 'felicitous' with fired mechanisms"
+             " ['indirect-contextual-contradiction']"),
+            (("theories",), [], "report key 'aggregate' is 'odd' with fired mechanisms []"),
         ],
     )
     def test_wrong_value_names_its_key(self, data, path, value, message):

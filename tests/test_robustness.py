@@ -1,17 +1,24 @@
 """Generated well-formed scenarios keep the engine's error contract: only a
 ``FelicityError`` escapes parsing, judging and rendering, every trace step
-replays, and the command line exits 0, 1 or 2 without an internal error."""
+replays, and the command line exits 0, 1 or 2 without an internal error.
+Their judgments also keep the paper's claims: renaming the predicates and
+reordering the context changes nothing, each theory judges alone as it
+does among the others, and a sequenced scope never takes the indirect
+route."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from felicity import (
+    THEORY_NAMES,
+    AndSeq,
     ContextState,
     FelicityError,
     Quant,
@@ -27,7 +34,7 @@ from felicity import (
     replay_step,
 )
 from felicity.cli import main
-from felicity.logic import children
+from felicity.logic import children, node_facts
 
 QUANTIFIERS = ("some", "most", "all", "no", "qi")
 # Scales the scale check accepts, and one it refuses.
@@ -39,9 +46,11 @@ SCALES = (
 SOME_SCALES = SCALES[:3]
 # One item of an ignorance step's output: not-certain(d) for a live disjunct d.
 IGNORANCE_ITEM = re.compile(r"\(not \(know (.*)\)\)\Z")
+# A predicate name that the generator declares.
+PRED_NAME = re.compile(r"\b[se]\d\b")
 
 
-def _scopes(preds: list[str], eventive: list[str]):
+def _scopes(preds: tuple[str, ...], eventive: tuple[str, ...]):
     def extend(sub):
         options = [
             sub.map(lambda p: f"(not {p})"),
@@ -55,7 +64,10 @@ def _scopes(preds: list[str], eventive: list[str]):
     return st.recursive(st.sampled_from([*preds, "true"]), extend, max_leaves=3)
 
 
-def _forms(preds: list[str], eventive: list[str]):
+@lru_cache(maxsize=None)
+def _forms(preds: tuple[str, ...], eventive: tuple[str, ...]):
+    """Form text over the predicates; built once per predicate set, since
+    building a strategy costs more than drawing from it."""
     def clauses(quantifiers):
         return st.tuples(
             st.sampled_from(quantifiers), st.sampled_from(preds), _scopes(preds, eventive)
@@ -78,7 +90,10 @@ def _section(name: str, items: list[str]) -> str:
 
 
 @st.composite
-def scenarios(draw) -> str:
+def scenarios(draw, clauses: int = 1, indirect: bool = False) -> str:
+    """Scenario text with at most ``clauses`` common-knowledge and as many
+    discourse clauses; a third of the targets, or all if ``indirect``, have
+    the shape the indirect route expands."""
     stative = [f"s{i}" for i in range(draw(st.integers(0, 2)))]
     eventive = [f"e{i}" for i in range(draw(st.integers(0 if stative else 1, 4 - len(stative))))]
     preds = stative + eventive
@@ -86,24 +101,25 @@ def scenarios(draw) -> str:
         [f"({p} :stative)" for p in stative] + [f"({p} :eventive)" for p in eventive]
     )
     scales = draw(st.lists(st.sampled_from(SCALES), max_size=2))
-    forms = target = _forms(preds, eventive)
+    forms = known = target = _forms(tuple(preds), tuple(eventive))
     individuals = st.integers(1, 3)
-    if draw(st.integers(0, 2)) == 0:
+    if indirect or draw(st.integers(0, 2)) == 0:
         # The shape the indirect route expands: some over a concurrent
         # conjunction of other predicates, with some on the first scale that
-        # holds it, and room for some but not all.
+        # holds it, and room for some but not all. Common knowledge of the
+        # universal over the first branch is the clash the route looks for.
         individuals = st.integers(2, 3)
         scales.insert(0, draw(st.sampled_from(SOME_SCALES)))
         restrictor = draw(st.sampled_from(preds))
         branch = st.sampled_from([p for p in preds if p != restrictor] or preds)
-        target = st.tuples(branch, branch).map(
-            lambda xy: f"(some {restrictor} (and-conc {xy[0]} {xy[1]}))"
-        )
+        x, y = draw(branch), draw(branch)
+        target = st.just(f"(some {restrictor} (and-conc {x} {y}))")
+        known = st.one_of(forms, st.just(f"(all {restrictor} {x})"))
     return (
         f"(scenario fuzz\n  (individuals {draw(individuals)})\n  (predicates {declared})"
         + _section("scales", [f"({' '.join(s)})" for s in scales])
-        + _section("common-knowledge", draw(st.lists(forms, max_size=1)))
-        + _section("discourse", draw(st.lists(forms, max_size=1)))
+        + _section("common-knowledge", draw(st.lists(known, max_size=clauses)))
+        + _section("discourse", draw(st.lists(forms, max_size=clauses)))
         + f"\n  (target {draw(target)})"
         + _section("continuations", draw(st.lists(forms, max_size=2)))
         + f"\n  (expect {draw(st.sampled_from(['odd', 'felicitous']))}))"
@@ -152,6 +168,9 @@ def test_generated_scenarios_keep_the_error_contract(scenario_path, text):
         for verdict in judgment.theories:
             for step in verdict.trace:
                 assert replay_step(step, ctx) == step.output, (verdict.theory, step)
+                # the gated some-clause entails each branch's expansion
+                if step.rule == "expansion-licensed":
+                    assert step.output == "entailed", step
                 if step.rule == "ignorance" and step.output != "(none)":
                     event("ignorance inferred")
                     for item in step.output.split("; "):
@@ -163,6 +182,58 @@ def test_generated_scenarios_keep_the_error_contract(scenario_path, text):
     assert code == expected_code and "internal error" not in err, err
     code, err = _cli("run", "--format", "json", "--explain", str(scenario_path))
     assert code == (2 if expected_code == 2 else 0) and "internal error" not in err, err
+
+
+def _json(scenario, judgment) -> str:
+    return render_report(build_report(scenario.name, judgment), "json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(clauses=2), st.sampled_from(THEORY_NAMES), st.permutations(range(4)))
+def test_renaming_reordering_and_judging_one_theory_change_nothing(text, theory, order):
+    try:
+        scenario = parse_scenario(text)
+        judgment = judge(scenario)
+    except FelicityError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    # A theory judges alone as it does among the others.
+    alone = judge(scenario._replace(enabled_theories=(theory,)))
+    assert alone.theories == tuple(v for v in judgment.theories if v.theory == theory)
+    assert alone.aggregate == alone.theories[0].verdict
+    # Fresh predicate names, in an order unrelated to the old one, and each
+    # context tier reversed change nothing but the names.
+    rename = {p.name: f"p{i}" for p, i in zip(scenario.preds, order)}
+
+    def renamed(s: str) -> str:
+        return PRED_NAME.sub(lambda m: rename[m[0]], s)
+
+    other = parse_scenario(renamed(text))
+    ck, discourse = other.common_knowledge[::-1], other.discourse[::-1]
+    event(f"context reordered: {max(len(ck), len(discourse)) > 1}")
+    other = other._replace(common_knowledge=ck, discourse=discourse)
+    assert _json(other, judge(other)) == renamed(_json(scenario, judgment))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(indirect=True))
+def test_a_sequenced_scope_never_takes_the_indirect_route(text):
+    try:
+        scenario = parse_scenario(text)
+        judgment = judge(scenario)
+    except FelicityError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    target = scenario.target
+    branches = (target.scope.left, target.scope.right)
+    if not all(node_facts(b).eventive for b in branches):
+        event("a stative branch: no and-seq")
+        return
+    indirect = next(v for v in judgment.theories if v.theory == "indirect-contradiction")
+    event(f"and-conc scope fired: {indirect.fired}")
+    sequenced = Quant(target.quantifier, target.restrictor, AndSeq(*branches))
+    alone = scenario._replace(target=sequenced, enabled_theories=(indirect.theory,))
+    assert not judge(alone).theories[0].fired
 
 
 def _nodes(node):
