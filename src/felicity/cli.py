@@ -60,17 +60,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> None:
-    """Validate --theories and --bound, and split --theories into a tuple."""
+    """Validate --theories and --bound, and split --theories into a tuple
+    that keeps the first of repeated names, as ``(theories ...)`` does."""
     theories = None
     if args.theories is not None:
-        theories = tuple(t.strip() for t in args.theories.split(",") if t.strip())
-        unknown = [t for t in theories if t not in THEORY_NAMES]
+        names = [t.strip() for t in args.theories.split(",") if t.strip()]
+        unknown = [t for t in names if t not in THEORY_NAMES]
         if unknown:
             raise FelicityError(
                 f"unknown theories {unknown}; pick from {', '.join(THEORY_NAMES)}"
             )
-        if not theories:
+        if not names:
             raise FelicityError("--theories needs at least one name")
+        theories = tuple(dict.fromkeys(names))
     if args.bound is not None and args.bound < 1:
         raise FelicityError("--bound must be >= 1")
     args.theories = theories

@@ -21,8 +21,11 @@ Form nodes are hash-consed: building a node equal to a live one returns
 that one. Equal nodes are therefore identical, and nodes hash and compare
 by identity, so the oracle's caches find a form in O(1) instead of walking
 it. ``entails`` and ``consistent`` look their whole sequent up in one
-cache, so a repeated sequent costs one lookup; it is validated only on a
-miss, and an invalid one raises the same error on every call.
+cache, so a repeated sequent costs one lookup. A miss checks the model
+space and then combines the forms' cached truth bitsets, whose building
+checks each form; the forms are walked for their faults only when that
+fails. An invalid sequent is never cached, and it raises the same error
+on every call.
 ``entails_with_existential_import`` takes two lookups: the existence
 premises of its forms come from a cache keyed by the form tuple, and the
 extended sequent then goes to ``entails``.
@@ -822,10 +825,13 @@ def _truth(
     scales: "ScaleRegistry | None",
 ) -> int:
     """The classes (see ``_classes``) in which lf is true, with the truth
-    conditions of ``evaluate``."""
+    conditions of ``evaluate``. Raises for anything ``node_facts`` does not
+    count as a form, a subclass of a form class included, since a query's
+    forms are checked only when this raises."""
     k = len(preds)
     full = _classes(k, bound)[0]
-    if isinstance(lf, Quant):
+    cls = type(lf)
+    if cls is Quant:
         a = _cells(Atom(lf.restrictor), preds)
         b = _cells(lf.scope, preds)
         q = lf.quantifier
@@ -838,7 +844,7 @@ def _truth(
         if q is NO:
             return full & ~_more(a & b, 0, k, bound)
         raise ScaleError(f"quantifier {q} has no truth conditions")
-    if isinstance(lf, Only):
+    if cls is Only:
         body = lf.body
         scale = scales.scale_for(body.quantifier) if scales is not None else None
         if scale is None:
@@ -849,11 +855,11 @@ def _truth(
         for q in scale.stronger_mates(body.quantifier):
             out &= ~_truth(Quant(q, body.restrictor, body.scope), preds, bound, scales)
         return out
-    if isinstance(lf, NotLF):
+    if cls is NotLF:
         return full & ~_truth(lf.body, preds, bound, scales)
-    if isinstance(lf, AndLF):
+    if cls is AndLF:
         return _truth(lf.left, preds, bound, scales) & _truth(lf.right, preds, bound, scales)
-    if isinstance(lf, OrLF):
+    if cls is OrLF:
         out = 0
         for d in lf.disjuncts:
             out |= _truth(d, preds, bound, scales)
@@ -868,10 +874,10 @@ def _truth(
 
 def _ask(cached, *args):
     """Answer a query from ``cached``, a cache keyed by all of its
-    arguments that validates them only on a miss. An invalid query
+    arguments that checks them only on a miss. An invalid query
     is never cached, so it raises afresh every time. A query with an
     unhashable argument (a list in form position, say) is answered
-    uncached, so that validation names the culprit."""
+    uncached, so that the check names the culprit."""
     try:
         return cached(*args)
     except TypeError:
@@ -891,24 +897,43 @@ def _satisfiable(
     scales: "ScaleRegistry | None",
 ) -> bool:
     """True iff some class (see ``_classes``) makes every form of holds
-    true and every form of fails false."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    true and every form of fails false.
+
+    Only the model space is checked up front. The forms are checked by
+    their bitsets: ``_truth`` and ``_cells`` visit every node and atom, and
+    raise on a non-form or an undeclared name. When anything raises, the
+    whole query is checked in a fixed order, so it fails with its first
+    fault: a bound below 1, then each form in turn (not a form, or an
+    undeclared predicate), then the budget, then a repeated name."""
+    try:
+        if bound < 1:
+            raise ValueError("bound must be >= 1")
+        check_budget(bound, len(preds))
+        _check_names(preds)
+        models = _classes(len(preds), bound)[0]
+        for lf in holds:
+            models &= _truth(lf, preds, bound, scales)
+        for lf in fails:
+            models &= ~_truth(lf, preds, bound, scales)
+    except Exception:
+        # Whatever raised, a form's fault comes first unless the bound's
+        # does; a bound that cannot be compared raises here as it did above.
+        if not bound < 1:
+            _check_forms(holds + fails, preds)
+        raise
+    return models != 0
+
+
+def _check_forms(lfs: tuple, preds: tuple[PredicateSym, ...]):
+    """Raise for the first of lfs that is not a logical form or uses a
+    predicate that preds does not declare."""
     declared = {p.name for p in preds}
-    for lf in holds + fails:
+    for lf in lfs:
         used = {p.name for p in _form_facts(lf).preds}
         if not used <= declared:
             raise DeclarationError(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"
             )
-    check_budget(bound, len(preds))
-    _check_names(preds)
-    models = _classes(len(preds), bound)[0]
-    for lf in holds:
-        models &= _truth(lf, preds, bound, scales)
-    for lf in fails:
-        models &= ~_truth(lf, preds, bound, scales)
-    return models != 0
 
 
 def entails(

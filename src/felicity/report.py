@@ -60,7 +60,8 @@ def report_from_dict(data: dict) -> Report:
     """The report that ``report_to_dict`` turned into ``data``. Raises
     ``ValueError`` naming the key of any value of the wrong type or shape,
     of a verdict, reading, mechanism, rule or theory that the engine does
-    not have, and of a verdict that contradicts the mechanisms that fired."""
+    not have, of a theory row that repeats an earlier one's name, and of a
+    verdict that contradicts the mechanisms that fired."""
     if not isinstance(data, dict):
         raise ValueError(f"a report must be an object, got {type(data).__name__}")
     report = Report(
@@ -73,6 +74,10 @@ def report_from_dict(data: dict) -> Report:
             for at, c in _items(data, "continuations", dict)
         ),
     )
+    names = [row.name for row in report.theories]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"report key 'theories[{i}].name' repeats {name!r}")
     return _agree(report, report.aggregate, [r.mechanism for r in report.theories], "aggregate")
 
 

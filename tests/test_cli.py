@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from felicity import THEORY_NAMES
 from felicity.cli import main
 from felicity.sexpr import MAX_DEPTH
 
@@ -49,6 +50,22 @@ class TestRun:
         assert {t["name"]: t["verdict"] for t in data["theories"]}[
             "indirect-contradiction"
         ] == "odd"
+
+    @pytest.mark.parametrize("theory", THEORY_NAMES)
+    def test_one_theory_gives_its_row_of_the_full_run(self, capsys, theory):
+        # judged alone, a theory gives the row it has among the others, and
+        # the aggregate is that row's verdict
+        args = ("run", "--format", "json", "--explain")
+        code, out, _ = run_cli(capsys, *args, *ALL_FIXTURES)
+        assert code == 0
+        full = [json.loads(line) for line in out.splitlines()]
+        code, out, _ = run_cli(capsys, *args, "--theories", theory, *ALL_FIXTURES)
+        assert code == 0
+        alone = [json.loads(line) for line in out.splitlines()]
+        assert len(alone) == len(full) == len(ALL_FIXTURES)
+        for whole, one in zip(full, alone):
+            row = next(r for r in whole["theories"] if r["name"] == theory)
+            assert one == {**whole, "aggregate": row["verdict"], "theories": [row]}
 
     def test_run_json_one_object_per_line(self, capsys):
         code, out, _ = run_cli(
@@ -293,6 +310,23 @@ class TestCheck:
         )
         assert (code, out) == (2, "")
         assert err == "error: --theories needs at least one name\n"
+
+    @pytest.mark.parametrize(
+        "value, kept",
+        [
+            ("magri-blind,magri-blind", "magri-blind"),
+            ("del-pinal, magri-blind,del-pinal,magri-blind", "del-pinal,magri-blind"),
+        ],
+    )
+    def test_a_repeated_theory_is_judged_once(self, capsys, value, kept):
+        # the first of repeated names is kept, as in a (theories ...) section
+        path = str(FIXTURES / "magri-13.sexp")
+        for fmt in ("table", "json"):
+            once = run_cli(capsys, "run", "--format", fmt, "--theories", kept, path)
+            assert run_cli(capsys, "run", "--format", fmt, "--theories", value, path) == once
+            assert once[0] == 0
+        data = json.loads(once[1])
+        assert [row["name"] for row in data["theories"]] == kept.split(",")
 
     def test_fail_fast_stops_after_first_mismatch(self, capsys, tmp_path):
         w1 = tmp_path / "w1.sexp"

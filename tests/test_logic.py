@@ -8,13 +8,15 @@ asserted, so the two routes never collapse into one.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from felicity import (
     ALL,
@@ -998,12 +1000,102 @@ _ORACLES = {
 
 def _count_validations(monkeypatch) -> list:
     """Give the oracle an empty cache whose misses are listed: each miss
-    runs the query's validation once, before any truth table."""
+    runs the uncached body once, and with it every check the query gets."""
     misses = []
     body = logic._satisfiable.__wrapped__
     counted = lru_cache(maxsize=None)(lambda *args: misses.append(args) or body(*args))
     monkeypatch.setattr(logic, "_satisfiable", counted)
     return misses
+
+
+def _validate_then_compute(holds, fails, preds, bound, scales):
+    """The satisfiability test with every check made up front, in order, as
+    the oracle made them before it checked a query's forms only on failure:
+    the reference for the order in which an invalid query's faults are
+    reported."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    declared = {p.name for p in preds}
+    for lf in holds + fails:
+        used = {p.name for p in logic._form_facts(lf).preds}
+        if not used <= declared:
+            raise DeclarationError(
+                f"undeclared predicates {sorted(used - declared)} in {lf!r}"
+            )
+    logic.check_budget(bound, len(preds))
+    logic._check_names(preds)
+    models = logic._classes(len(preds), bound)[0]
+    for lf in holds:
+        models &= logic._truth(lf, preds, bound, scales)
+    for lf in fails:
+        models &= ~logic._truth(lf, preds, bound, scales)
+    return models != 0
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_REGISTRY = ScaleRegistry((Scale((SOME, MOST, ALL)),))
+_UNDECLARED = some(ITALIAN, Atom(BLOND))  # blond is not in _TWO
+_TWO = (ITALIAN, WARM)
+# Queries with two faults, the error that the first of them raises, and
+# the query as (holds, fails, preds, bound, scales).
+_DOUBLY_INVALID = {
+    "bound 0 and an undeclared name": (ValueError, (_UNDECLARED,), (), _TWO, 0, None),
+    "over budget and an undeclared name": (DeclarationError, tuple(_ONE), (_UNDECLARED,), _TWO,
+                                           13, None),
+    "a non-form after an undeclared form": (DeclarationError, (_UNDECLARED, Atom(WARM)), (),
+                                            _TWO, 3, None),
+    "a list in form position after an undeclared form": (DeclarationError, (_UNDECLARED,),
+                                                         (_ONE,), _TWO, 3, None),
+    "a list in form position, then an undeclared form": (TypeError, (_ONE, _UNDECLARED), (),
+                                                         _TWO, 3, None),
+    "only over an unscaled quantifier, then an undeclared name": (
+        DeclarationError, (Only(no(ITALIAN, Atom(WARM))),), (_UNDECLARED,), _TWO, 3, _REGISTRY),
+    "a repeated name and an undeclared name": (DeclarationError, (_UNDECLARED,), (),
+                                               (ITALIAN, WARM, PredicateSym("warm")), 3, None),
+}
+
+# A predicate that the queries below never declare.
+_STRAY = PredicateSym("stray")
+_STRAY_FORMS = _forms(_POOL[:1] + (_STRAY,), 1)
+# What a query over a prefix of _POOL may hold in form position besides
+# its forms: forms that may be undeclared, things that are not forms, and
+# forms that have no truth conditions without a scale.
+_ITEMS = {
+    k: st.one_of(
+        _STRAY_FORMS,
+        st.sampled_from([Atom(_POOL[0]), _POOL[0], NotLF(Atom(_POOL[0])), "(some e s)", None]),
+        _FORMS[k].map(lambda forms: forms[:1]),  # a list in form position
+        st.builds(Only, st.builds(Quant, st.just(NO), st.sampled_from(_POOL[:k]),
+                                  _scopes(_POOL[:k], 1))),
+    )
+    for k in (1, 2, 3)
+}
+
+
+@st.composite
+def _queries(draw):
+    """Queries valid and invalid in any number of ways: forms or not,
+    declared or not, a bound below 1 or over budget, a repeated name, with
+    or without a scale for only."""
+    k = draw(st.integers(1, 3))
+    form = _FORMS[k].map(lambda forms: forms[0])
+    if not draw(st.booleans()):  # half of the queries are valid
+        holds = tuple(draw(st.lists(form, max_size=3)))
+        fails = tuple(draw(st.lists(form, max_size=2)))
+        return holds, fails, _POOL[:k], draw(st.integers(1, 3)), _REGISTRY
+    preds = _POOL[:k] + draw(st.sampled_from([(), (PredicateSym("e"),)]))
+    items = st.one_of(form, _ITEMS[k])
+    holds = tuple(draw(st.lists(items, max_size=3)))
+    fails = tuple(draw(st.lists(items, max_size=2)))
+    bound = draw(st.sampled_from([3, 2, 1, 0, -1, 25]))
+    return holds, fails, preds, bound, draw(st.sampled_from([_REGISTRY, None]))
 
 
 class TestFrontDoor:
@@ -1055,6 +1147,49 @@ class TestFrontDoor:
         assert logic.existence_premises(iter(forms)) is built
         with pytest.raises(TypeError, match="^not a logical form: "):
             logic.existence_premises([forms[0], [forms[1]]])
+
+    @pytest.mark.parametrize("case", sorted(_DOUBLY_INVALID))
+    def test_a_doubly_invalid_query_raises_its_first_fault(self, case):
+        expected, *query = _DOUBLY_INVALID[case]
+        for _ in range(2):  # never cached
+            assert _outcome(logic._ask, logic._satisfiable, *query) == _outcome(
+                _validate_then_compute, *query
+            )
+        assert _outcome(_validate_then_compute, *query)[0] is expected
+
+    def test_a_subclass_of_a_form_class_is_not_a_form(self):
+        # node_facts counts only the form classes themselves as forms, and so
+        # must the bitsets, the only check a query gets unless they raise.
+        # In a fresh interpreter, since a node class cannot be undeclared.
+        code = "\n".join([
+            "from felicity import Atom, NotLF, Only, PredicateSym, Quant, SOME, logic",
+            "class Sub(Quant):",
+            "    quantifier: object",
+            "    restrictor: object",
+            "    scope: object",
+            "a, b = PredicateSym('a'), PredicateSym('b')",
+            "sub = Sub(SOME, a, Atom(b))",
+            "for form in (sub, NotLF(sub), Only(sub)):",
+            "    for holds, fails in (((form,), ()), ((), (form,))):",
+            "        try:",
+            "            print(logic._satisfiable(holds, fails, (a, b), 2, None))",
+            "        except TypeError as exc:",
+            "            print(str(exc).partition('(')[0])",
+        ])
+        src = os.path.dirname(os.path.dirname(logic.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == ["not a logical form: Sub"] * 6
+
+    @settings(max_examples=400, deadline=None)
+    @given(_queries())
+    def test_checks_made_on_failure_give_the_up_front_outcome(self, query):
+        expected = _outcome(_validate_then_compute, *query)
+        for _ in range(2):
+            assert _outcome(logic._ask, logic._satisfiable, *query) == expected
+        event(f"outcome: {expected if type(expected) is bool else expected[0].__name__}")
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_forms(_POOL, 3), _scopes(_POOL, 3), st.sampled_from(_POOL)))

@@ -75,16 +75,21 @@ def _odd_iff_fired(mechanisms) -> str:
 
 
 def _agreeing(report: Report) -> Report:
-    """The report with each row's verdict and the aggregate derived from
-    the mechanisms, as a judgment derives them."""
-    rows = tuple(r._replace(verdict=_odd_iff_fired([r.mechanism])) for r in report.theories)
+    """The report with one row per theory name, the first, and with each
+    row's verdict and the aggregate derived from the mechanisms, as a
+    judgment derives them."""
+    first: dict[str, TheoryRow] = {}
+    for r in report.theories:
+        first.setdefault(r.name, r._replace(verdict=_odd_iff_fired([r.mechanism])))
+    rows = tuple(first.values())
     return report._replace(aggregate=_odd_iff_fired([r.mechanism for r in rows]), theories=rows)
 
 
 # Any text anywhere: what the writer must encode as json.dumps does.
 _REPORTS = _reports(_TEXT, _TEXT, _TEXT, _TEXT, _TEXT)
 # Reports that report_from_dict accepts: the engine's own vocabularies,
-# with every verdict agreeing with the mechanisms that fired.
+# no theory named twice, and every verdict agreeing with the mechanisms
+# that fired.
 _KNOWN_REPORTS = _reports(
     st.sampled_from(THEORY_NAMES),
     st.sampled_from(["odd", "felicitous"]),
@@ -186,6 +191,11 @@ class TestReportFromDict:
              "report key 'aggregate' is 'felicitous' with fired mechanisms"
              " ['indirect-contextual-contradiction']"),
             (("theories",), [], "report key 'aggregate' is 'odd' with fired mechanisms []"),
+            # A theory has one row.
+            (("theories", 1, "name"), "magri-blind",
+             "report key 'theories[1].name' repeats 'magri-blind'"),
+            (("theories", 4, "name"), "del-pinal",
+             "report key 'theories[4].name' repeats 'del-pinal'"),
         ],
     )
     def test_wrong_value_names_its_key(self, data, path, value, message):

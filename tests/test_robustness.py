@@ -3,8 +3,8 @@
 replays, and the command line exits 0, 1 or 2 without an internal error.
 Their judgments also keep the paper's claims: renaming the predicates and
 reordering the context changes nothing, each theory judges alone as it
-does among the others, and a sequenced scope never takes the indirect
-route."""
+does among the others, and neither a sequenced scope nor a distributive
+conjunction of clauses ever takes the indirect route."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from felicity import (
     THEORY_NAMES,
+    AndLF,
     AndSeq,
     ContextState,
     FelicityError,
@@ -233,6 +234,26 @@ def test_a_sequenced_scope_never_takes_the_indirect_route(text):
     event(f"and-conc scope fired: {indirect.fired}")
     sequenced = Quant(target.quantifier, target.restrictor, AndSeq(*branches))
     alone = scenario._replace(target=sequenced, enabled_theories=(indirect.theory,))
+    assert not judge(alone).theories[0].fired
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(indirect=True))
+def test_a_distributive_and_never_takes_the_indirect_route(text):
+    # (and (some r x) (some r y)) is the distributive reading of
+    # (some r (and-conc x y)): no conjunction in a scope, nothing to expand
+    try:
+        scenario = parse_scenario(text)
+        judgment = judge(scenario)
+    except FelicityError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    target = scenario.target
+    indirect = next(v for v in judgment.theories if v.theory == "indirect-contradiction")
+    event(f"and-conc scope fired: {indirect.fired}")
+    split = AndLF(*(Quant(target.quantifier, target.restrictor, branch)
+                    for branch in (target.scope.left, target.scope.right)))
+    alone = scenario._replace(target=split, enabled_theories=(indirect.theory,))
     assert not judge(alone).theories[0].fired
 
 
