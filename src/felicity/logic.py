@@ -21,11 +21,15 @@ Form nodes are hash-consed: building a node equal to a live one returns
 that one. Equal nodes are therefore identical, and nodes hash and compare
 by identity, so the oracle's caches find a form in O(1) instead of walking
 it. ``entails`` and ``consistent`` look their whole sequent up in one
-cache, so a repeated sequent costs one lookup. A miss checks the model
-space and then combines the forms' cached truth bitsets, whose building
-checks each form; the forms are walked for their faults only when that
-fails. An invalid sequent is never cached, and it raises the same error
-on every call.
+cache, so a repeated sequent costs one lookup. A miss looks its model
+space up in a cache that checks each space once (the budget, then the
+names) and holds each predicate's cell mask. It then combines the forms'
+cached truth bitsets, whose building checks each form; the forms are
+walked for their faults only when that fails. A clause's bitset depends
+only on its quantifier and the cells of its restrictor and scope, and is
+cached under those, so clauses over other names, another predicate order
+or another scenario share it. An invalid sequent or space is never
+cached, and it raises the same error on every call.
 ``entails_with_existential_import`` takes two lookups: the existence
 premises of its forms come from a cache keyed by the form tuple, and the
 extended sequent then goes to ``entails``.
@@ -743,25 +747,58 @@ def _check_names(preds: Sequence[PredicateSym]):
         raise WellFormednessError(f"duplicate predicate names in {names}")
 
 
-def _cells(p: PredExpr, preds: tuple[PredicateSym, ...]) -> int:
-    """The cells whose individuals satisfy p, as a bitmask over the cells."""
+@lru_cache(maxsize=256)
+def _space(preds: tuple[PredicateSym, ...], bound: int) -> dict[str, int]:
+    """Each predicate's cell mask, by name, once the space passes its
+    checks: the budget, then the names. An entry holds k masks of 2**k bits
+    (at most 48 MB: 24 predicates at bound 1) and nothing of ``_classes``'s
+    table."""
+    check_budget(bound, len(preds))
+    _check_names(preds)
     cells = 1 << len(preds)
-    if isinstance(p, Atom):
+    masks = {}
+    for j, p in enumerate(preds):
         # Cell c satisfies predicate j iff bit j of c is set: runs of 2**j
         # zeros then 2**j ones, doubled up to the full width.
-        run = 1 << [q.name for q in preds].index(p.pred.name)
+        run = 1 << j
         mask, width = ((1 << run) - 1) << run, 2 * run
         while width < cells:
             mask |= mask << width
             width *= 2
-        return mask
+        masks[p.name] = mask
+    return masks
+
+
+def _cells(p: PredExpr, masks: dict[str, int]) -> int:
+    """The cells whose individuals satisfy p, as a bitmask over the cells;
+    masks comes from ``_space``."""
+    if isinstance(p, Atom):
+        return masks[p.pred.name]
     if isinstance(p, TruePred):
-        return (1 << cells) - 1
+        return (1 << (1 << len(masks))) - 1
     if isinstance(p, NotP):
-        return ((1 << cells) - 1) & ~_cells(p.body, preds)
+        return ((1 << (1 << len(masks))) - 1) & ~_cells(p.body, masks)
     if isinstance(p, (AndConc, AndSeq)):
-        return _cells(p.left, preds) & _cells(p.right, preds)
+        return _cells(p.left, masks) & _cells(p.right, masks)
     raise TypeError(f"not a predicate expression: {p!r}")
+
+
+@lru_cache(maxsize=1024)
+def _quant(q: Quantifier, a: int, b: int, k: int, bound: int) -> int:
+    """The classes in which q of the cells ``a`` are in the cells ``b``.
+    Clauses whose cells agree share it, whatever their names, predicate
+    order or scenario. An entry holds a bit per class, up to ~100 KB with a
+    table (6 predicates at bound 4) and ~360 KB without (8 at bound 3)."""
+    if q in (SOME, QI):
+        return _more(a & b, 0, k, bound)
+    if q is MOST:
+        return _more(a & b, a & ~b, k, bound)
+    full = _classes(k, bound)[0]
+    if q is ALL:
+        return full & ~_more(a & ~b, 0, k, bound)
+    if q is NO:
+        return full & ~_more(a & b, 0, k, bound)
+    raise ScaleError(f"quantifier {q} has no truth conditions")
 
 
 def _more(yes: int, no: int, k: int, bound: int) -> int:
@@ -829,34 +866,27 @@ def _truth(
     count as a form, a subclass of a form class included, since a query's
     forms are checked only when this raises."""
     k = len(preds)
-    full = _classes(k, bound)[0]
     cls = type(lf)
-    if cls is Quant:
-        a = _cells(Atom(lf.restrictor), preds)
-        b = _cells(lf.scope, preds)
-        q = lf.quantifier
-        if q in (SOME, QI):
-            return _more(a & b, 0, k, bound)
-        if q is ALL:
-            return full & ~_more(a & ~b, 0, k, bound)
-        if q is MOST:
-            return _more(a & b, a & ~b, k, bound)
-        if q is NO:
-            return full & ~_more(a & b, 0, k, bound)
-        raise ScaleError(f"quantifier {q} has no truth conditions")
-    if cls is Only:
-        body = lf.body
-        scale = scales.scale_for(body.quantifier) if scales is not None else None
-        if scale is None:
-            raise ScaleError(
-                f"only requires {body.quantifier.value!r} to belong to a declared scale"
-            )
-        out = _truth(body, preds, bound, scales)
-        for q in scale.stronger_mates(body.quantifier):
-            out &= ~_truth(Quant(q, body.restrictor, body.scope), preds, bound, scales)
+    if cls is Quant or cls is Only:
+        body, mates = lf, ()
+        if cls is Only:
+            body = lf.body
+            scale = scales.scale_for(body.quantifier) if scales is not None else None
+            if scale is None:
+                raise ScaleError(
+                    f"only requires {body.quantifier.value!r} to belong to a declared scale"
+                )
+            if type(body) is not Quant:
+                raise TypeError(f"not a logical form: {body!r}")
+            mates = scale.stronger_mates(body.quantifier)
+        masks = _space(preds, bound)
+        a, b = masks[body.restrictor.name], _cells(body.scope, masks)
+        out = _quant(body.quantifier, a, b, k, bound)
+        for q in mates:  # only: every stronger scale-mate is false
+            out &= ~_quant(q, a, b, k, bound)
         return out
     if cls is NotLF:
-        return full & ~_truth(lf.body, preds, bound, scales)
+        return _classes(k, bound)[0] & ~_truth(lf.body, preds, bound, scales)
     if cls is AndLF:
         return _truth(lf.left, preds, bound, scales) & _truth(lf.right, preds, bound, scales)
     if cls is OrLF:
@@ -908,8 +938,7 @@ def _satisfiable(
     try:
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        check_budget(bound, len(preds))
-        _check_names(preds)
+        _ask(_space, preds, bound)
         models = _classes(len(preds), bound)[0]
         for lf in holds:
             models &= _truth(lf, preds, bound, scales)

@@ -7,6 +7,7 @@ asserted, so the two routes never collapse into one.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import pickle
@@ -487,17 +488,16 @@ _POOL = (
 
 def _scopes(preds, depth):
     leaf = st.sampled_from([Atom(p) for p in preds] + [TRUE])
-    eventive = st.sampled_from([Atom(p) for p in preds if p.temporal_class == "eventive"])
+    eventive = [Atom(p) for p in preds if p.temporal_class == "eventive"]
     if depth <= 0:
         return leaf
     sub = _scopes(preds, depth - 1)
-    conjunct = st.one_of(eventive, st.builds(NotP, eventive), st.builds(AndConc, eventive, sub))
-    return st.one_of(
-        leaf,
-        st.builds(NotP, sub),
-        st.builds(AndConc, sub, sub),
-        st.builds(AndSeq, conjunct, conjunct),
-    )
+    options = [leaf, st.builds(NotP, sub), st.builds(AndConc, sub, sub)]
+    if eventive:  # and-seq only over eventive atoms
+        ev = st.sampled_from(eventive)
+        conjunct = st.one_of(ev, st.builds(NotP, ev), st.builds(AndConc, ev, sub))
+        options.append(st.builds(AndSeq, conjunct, conjunct))
+    return st.one_of(options)
 
 
 def _forms(preds, depth):
@@ -525,16 +525,44 @@ def _forms(preds, depth):
 _FORMS = {k: st.lists(_forms(_POOL[:k], 1), min_size=1, max_size=3) for k in (1, 2, 3)}
 
 
+# Names a sequent draws its predicates from, any subset in any order.
+_WIDE_POOL = _POOL + (PredicateSym("t"), PredicateSym("h", "eventive"))
+
+
+@lru_cache(maxsize=None)
+def _form_lists(preds):
+    return st.lists(_forms(preds, 1), min_size=1, max_size=3)
+
+
 @st.composite
 def _sequents(draw):
-    k = draw(st.integers(1, 3))
-    return _POOL[:k], draw(st.integers(1, 4)), draw(_FORMS[k])
+    k = draw(st.integers(1, 4))
+    preds = tuple(draw(st.permutations(_WIDE_POOL))[:k])
+    # 4 predicates at bound 4 would scan 69,905 labeled models per example
+    bound = draw(st.integers(1, min(4, 12 // k)))
+    return preds, bound, draw(_form_lists(preds))
+
+
+@contextlib.contextmanager
+def _counting_walks():
+    """List every walk over the classes, which only a space without a
+    table makes: each call of ``_count_vectors`` adds its arguments."""
+    walks = []
+    count_vectors = logic._count_vectors
+    logic._count_vectors = lambda *args: walks.append(args) or count_vectors(*args)
+    try:
+        yield walks
+    finally:
+        logic._count_vectors = count_vectors
 
 
 class TestClassOracle:
     @settings(max_examples=150, deadline=None)
     @given(_sequents())
     def test_matches_brute_force_over_labeled_models(self, full_registry, sequent):
+        # No cache is cleared between examples: forms over other names, in
+        # another order, share the quantifier bitsets of earlier examples,
+        # so a bitset shared under the wrong key gives a wrong answer here.
         preds, bound, forms = sequent
         models = list(enumerate_models(preds, bound))
         rows = [[evaluate(lf, m, full_registry) for lf in forms] for m in models]
@@ -552,6 +580,22 @@ class TestClassOracle:
         with pytest.raises(WellFormednessError):
             consistent([some(ITALIAN, Atom(WARM))], (ITALIAN, WARM, PredicateSym("warm")))
 
+    @pytest.mark.parametrize("preds, bound, error", [
+        (ITALIAN_PREDS, 9, ResourceBudgetError),
+        ((ITALIAN, WARM, PredicateSym("warm")), 3, WellFormednessError),
+    ])
+    def test_an_invalid_space_raises_every_time_and_is_not_cached(self, preds, bound, error):
+        before = logic._space.cache_info()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                consistent([some(ITALIAN, Atom(WARM))], preds, bound)
+            errors.append(str(info.value))
+        after = logic._space.cache_info()
+        assert errors[0] == errors[1]
+        # the second call was not answered from the cache, nor did it grow
+        assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
     def test_walk_without_table_matches_table(self, full_registry, monkeypatch):
         # past MAX_TABLE_BITS there is no per-cell table and every quantifier
         # walks the classes; both routes must give the same bitsets. most
@@ -563,22 +607,26 @@ class TestClassOracle:
         )
 
         def truths():
-            logic._classes.cache_clear()
-            logic._truth.cache_clear()
-            return [
-                logic._truth(Quant(q, ITALIAN, scope), preds, bound, full_registry)
-                for preds in (ITALIAN_PREDS, ITALIAN_PREDS + (TALL,))
-                for q in (SOME, ALL, MOST, NO)
-                for scope in scopes
-                for bound in (1, 2, 3)
-            ]
+            for cache in (logic._classes, logic._truth, logic._quant):
+                cache.cache_clear()
+            with _counting_walks() as walks:
+                bitsets = [
+                    logic._truth(Quant(q, ITALIAN, scope), preds, bound, full_registry)
+                    for preds in (ITALIAN_PREDS, ITALIAN_PREDS + (TALL,))
+                    for q in (SOME, ALL, MOST, NO)
+                    for scope in scopes
+                    for bound in (1, 2, 3)
+                ]
+            return bitsets, logic._quant.cache_info().misses, len(walks)
 
-        with_table = truths()
+        with_table, computed, walked = truths()
+        assert computed > 0 and walked == 0
         monkeypatch.setattr(logic, "MAX_TABLE_BITS", 0)
-        assert truths() == with_table
+        # every bitset computed afresh, each by a walk over the classes
+        assert truths() == (with_table, computed, computed)
         monkeypatch.undo()
-        logic._classes.cache_clear()
-        logic._truth.cache_clear()
+        for cache in (logic._classes, logic._truth, logic._quant):
+            cache.cache_clear()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -590,12 +638,15 @@ class TestClassOracle:
         sides = data.draw(st.lists(st.sampled_from("yn-"), min_size=1 << k, max_size=1 << k))
         yes = sum(1 << c for c, side in enumerate(sides) if side == "y")
         no = sum(1 << c for c, side in enumerate(sides) if side == "n")
-        with_table = logic._more(yes, no, k, bound)
         saved = logic.MAX_TABLE_BITS
-        logic.MAX_TABLE_BITS = 0
-        logic._classes.cache_clear()
         try:
-            walked = logic._more(yes, no, k, bound)
+            with _counting_walks() as walks:
+                with_table = logic._more(yes, no, k, bound)
+                assert not walks
+                logic.MAX_TABLE_BITS = 0
+                logic._classes.cache_clear()
+                walked = logic._more(yes, no, k, bound)
+                assert walks == [(1 << k, bound)]  # the walk route did walk
         finally:
             logic.MAX_TABLE_BITS = saved
             logic._classes.cache_clear()

@@ -3,8 +3,10 @@
 replays, and the command line exits 0, 1 or 2 without an internal error.
 Their judgments also keep the paper's claims: renaming the predicates and
 reordering the context changes nothing, each theory judges alone as it
-does among the others, and neither a sequenced scope nor a distributive
-conjunction of clauses ever takes the indirect route."""
+does among the others, neither a sequenced scope nor a distributive
+conjunction of clauses ever takes the indirect route, and a plain target
+whose stronger alternatives the discourse has settled never fires
+magri-blind."""
 
 from __future__ import annotations
 
@@ -22,8 +24,11 @@ from felicity import (
     AndSeq,
     ContextState,
     FelicityError,
+    NotLF,
+    Only,
     Quant,
     build_report,
+    consistent,
     judge,
     parse_lf,
     parse_pexpr,
@@ -33,9 +38,11 @@ from felicity import (
     render_report,
     render_traces,
     replay_step,
+    substitution_alternatives,
 )
 from felicity.cli import main
-from felicity.logic import children, node_facts
+from felicity.judge import _clauses
+from felicity.logic import BUDGET_BITS, children, node_facts
 
 QUANTIFIERS = ("some", "most", "all", "no", "qi")
 # Scales the scale check accepts, and one it refuses.
@@ -47,6 +54,8 @@ SCALES = (
 SOME_SCALES = SCALES[:3]
 # One item of an ignorance step's output: not-certain(d) for a live disjunct d.
 IGNORANCE_ITEM = re.compile(r"\(not \(know (.*)\)\)\Z")
+# The most individuals a generated scenario declares.
+MAX_INDIVIDUALS = 5
 # A predicate name that the generator declares.
 PRED_NAME = re.compile(r"\b[se]\d\b")
 
@@ -96,20 +105,22 @@ def scenarios(draw, clauses: int = 1, indirect: bool = False) -> str:
     discourse clauses; a third of the targets, or all if ``indirect``, have
     the shape the indirect route expands."""
     stative = [f"s{i}" for i in range(draw(st.integers(0, 2)))]
-    eventive = [f"e{i}" for i in range(draw(st.integers(0 if stative else 1, 4 - len(stative))))]
+    eventive = [f"e{i}" for i in range(draw(st.integers(0 if stative else 1, 5 - len(stative))))]
     preds = stative + eventive
+    # Up to 5 individuals, within the 24-bit budget: 4 for 5 predicates.
+    most = min(MAX_INDIVIDUALS, BUDGET_BITS // len(preds))
     declared = " ".join(
         [f"({p} :stative)" for p in stative] + [f"({p} :eventive)" for p in eventive]
     )
     scales = draw(st.lists(st.sampled_from(SCALES), max_size=2))
     forms = known = target = _forms(tuple(preds), tuple(eventive))
-    individuals = st.integers(1, 3)
+    individuals = st.integers(1, most)
     if indirect or draw(st.integers(0, 2)) == 0:
         # The shape the indirect route expands: some over a concurrent
         # conjunction of other predicates, with some on the first scale that
         # holds it, and room for some but not all. Common knowledge of the
         # universal over the first branch is the clash the route looks for.
-        individuals = st.integers(2, 3)
+        individuals = st.integers(2, most)
         scales.insert(0, draw(st.sampled_from(SOME_SCALES)))
         restrictor = draw(st.sampled_from(preds))
         branch = st.sampled_from([p for p in preds if p != restrictor] or preds)
@@ -151,6 +162,8 @@ def test_generated_scenarios_keep_the_error_contract(scenario_path, text):
         event(f"refused: {type(exc).__name__}")
     else:
         event("judged")
+        event(f"predicates: {len(scenario.preds)}")
+        event(f"individuals past 3: {scenario.max_universe > 3}")
         preds = {p.name: p for p in scenario.preds}
         assert parse_lf(render_lf(scenario.target), preds) is scenario.target
         for scope in {n.scope for n in _nodes(scenario.target) if type(n) is Quant}:
@@ -190,7 +203,7 @@ def _json(scenario, judgment) -> str:
 
 
 @settings(max_examples=150, deadline=None)
-@given(scenarios(clauses=2), st.sampled_from(THEORY_NAMES), st.permutations(range(4)))
+@given(scenarios(clauses=2), st.sampled_from(THEORY_NAMES), st.permutations(range(5)))
 def test_renaming_reordering_and_judging_one_theory_change_nothing(text, theory, order):
     try:
         scenario = parse_scenario(text)
@@ -262,3 +275,51 @@ def _nodes(node):
     yield node
     for child in children(node):
         yield from _nodes(child)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.data())
+def test_a_settled_plain_target_does_not_fire_magri_blind(text, data):
+    # magri-5: a plain target (no only) that common knowledge admits, after
+    # a discourse that settles each of its clauses' stronger alternatives.
+    # Pruning leaves exh nothing to negate, so no mismatching implicature.
+    try:
+        scenario = parse_scenario(text)
+    except FelicityError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    target, ck = scenario.target, scenario.common_knowledge
+    scales, bound = scenario.scales, scenario.max_universe
+    space = (scenario.preds, bound, scales)
+    if any(type(n) is Only for n in _nodes(target)):
+        event("only in the target")
+        return
+    if not consistent(ck + (target,), *space):
+        event("target contradicts common knowledge")
+        return
+    stronger = [
+        m for clause in _clauses(target)
+        for m in substitution_alternatives(clause, scales, bound).stronger()
+    ]
+    # Common knowledge that holds a stronger alternative is the clash that
+    # fires magri-blind when nothing is settled (magri-3).
+    known = tuple(data.draw(st.lists(st.sampled_from(stronger), max_size=1))) if stronger else ()
+    if consistent(ck + known + (target,), *space):
+        ck += known
+    # Keep the discourse where it admits the target; settle each stronger
+    # alternative by its negation where that keeps the context consistent,
+    # else by asserting it.
+    discourse = scenario.discourse
+    if not consistent(ck + discourse + (target,), *space):
+        discourse = ()
+    unsettled = scenario._replace(
+        common_knowledge=ck, discourse=discourse, enabled_theories=("magri-blind",)
+    )
+    event(f"stronger alternatives settled: {min(len(stronger), 3)}")
+    event(f"magri-blind fires before settling: {judge(unsettled).theories[0].fired}")
+    for m in stronger:
+        facts = ck + discourse + (target,)
+        discourse += (NotLF(m),) if consistent(facts + (NotLF(m),), *space) else (m,)
+    settled = unsettled._replace(discourse=discourse)
+    judgment = judge(settled)
+    assert not judgment.theories[0].fired, render_traces(build_report(settled.name, judgment))
