@@ -32,6 +32,7 @@ from .logic import (
     TRUE,
     entails,
     entails_with_existential_import,
+    existence_premises,
     lf_predicates,
     record,
 )
@@ -43,6 +44,10 @@ class Tag(Enum):
     STRONGER = "stronger"
     WEAKER = "weaker"
     INCOMPARABLE = "incomparable"
+
+    # Members are singletons, so identity hashing is exact; it runs in C,
+    # and alternative sets, which hold tags, key the memos below.
+    __hash__ = object.__hash__
 
 
 class Alternative(record("Alternative", "form tag")):
@@ -109,12 +114,16 @@ def _declared(*forms: LogicalForm) -> tuple[PredicateSym, ...]:
 def _tag(
     member: LogicalForm,
     origin: LogicalForm,
+    existence: tuple[LogicalForm, ...],
     preds: tuple[PredicateSym, ...],
     bound: int,
     scales: ScaleRegistry,
 ) -> Tag:
-    up = entails_with_existential_import([member], origin, preds, bound, scales)
-    down = entails_with_existential_import([origin], member, preds, bound, scales)
+    # entails_with_existential_import, with the origin's existence premises
+    # passed in: a variant swaps quantifiers only, so it has the same
+    # restrictors as its origin.
+    up = entails((member, *existence), origin, preds, bound, scales)
+    down = entails((origin, *existence), member, preds, bound, scales)
     if up and not down:
         return Tag.STRONGER
     if down and not up:
@@ -134,9 +143,10 @@ def substitution_alternatives(
     the alternatives of the same clauses, and the result is immutable.
     """
     preds = _declared(lf)
+    existence = existence_premises((lf,))
     # The first variant is lf itself; the others are distinct nodes.
     members = tuple(
-        Alternative(form, _tag(form, lf, preds, bound, scales))
+        Alternative(form, _tag(form, lf, existence, preds, bound, scales))
         for form in _variants(lf, scales)[1:]
     )
     return AlternativeSet(origin=lf, members=members)
@@ -147,6 +157,8 @@ def prune_settled(alts: AlternativeSet, ctx: ContextState) -> AlternativeSet:
 
     This is the relevance filter: a question settled by what was explicitly
     said is no longer on the table. Common knowledge is never consulted.
+    Each member is one ``settled_by_discourse`` query; the discourse
+    premises those queries share are built once per discourse record.
     """
     keep = tuple(
         alt for alt in alts.members if not settled_by_discourse(ctx, alt.form)
@@ -175,14 +187,24 @@ def exh(
     for ``(or (some a b) (some a c))`` on the (some all) scale, the negations
     of the stronger alternatives together contradict lf, so the result is
     inconsistent.
+
+    Each stronger alternative is one oracle query, on every call. The
+    predicates they declare are collected once per alternative set.
     """
     if alts.origin != lf:
         raise ValueError("alternative set was computed for a different origin")
-    preds = _declared(lf, *alts.forms())
+    preds = _set_declared(alts)
     negations = [
         NotLF(m) for m in alts.stronger() if not entails([lf], m, preds, bound, scales)
     ]
     return reduce(AndLF, negations, lf)
+
+
+@lru_cache(maxsize=2048)
+def _set_declared(alts: AlternativeSet) -> tuple[PredicateSym, ...]:
+    """``_declared`` over the origin and every member of alts. Keyed on the
+    set's value: a pruned set and its unpruned source share an origin."""
+    return _declared(alts.origin, *alts.forms())
 
 
 def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, ...]:

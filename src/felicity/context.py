@@ -11,6 +11,7 @@ compatible with both tiers.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .logic import (
     DEFAULT_BOUND,
@@ -100,11 +101,13 @@ def p_holds(ctx: ContextState, lf: LogicalForm) -> bool:
 contextually_entails = k_holds
 
 
-def _discourse_premises(ctx: ContextState) -> tuple[LogicalForm, ...]:
+@lru_cache(maxsize=1024)
+def _discourse_premises(discourse: tuple[LogicalForm, ...]) -> tuple[LogicalForm, ...]:
     # An utterance carries existential import for its own restrictors;
     # without it, "no(A)(B)" would fail to settle "all(A)(B)" negatively
-    # through the empty-restrictor loophole.
-    return ctx.discourse + existence_premises(ctx.discourse)
+    # through the empty-restrictor loophole. Built once per discourse
+    # record: pruning asks about every alternative against the same record.
+    return discourse + existence_premises(discourse)
 
 
 def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:
@@ -114,7 +117,7 @@ def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:
     Common knowledge is deliberately not consulted: this is the relevance
     test, and it must stay blind to the background tier.
     """
-    premises = _discourse_premises(ctx)
+    premises = _discourse_premises(ctx.discourse)
     entailed = entails(premises, lf, ctx.preds, ctx.bound, ctx.scales)
     return entailed or not consistent(premises + (lf,), ctx.preds, ctx.bound, ctx.scales)
 

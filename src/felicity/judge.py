@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
+from functools import lru_cache
 
 from .alternatives import (
     AlternativeSet,
@@ -155,10 +156,14 @@ def analyze_reading(lf: LogicalForm) -> Reading:
 # those names (a profiler, say) sees the calls a trace makes.
 
 
+@lru_cache(maxsize=2048)
 def _fmt_alts(alts: AlternativeSet) -> str:
+    """The set's members with their tags. Keyed on the set's value: a pruned
+    set and its unpruned source share an origin. ``_value_`` is the member's
+    own attribute, where ``.value`` is a Python-level descriptor."""
     if not alts.members:
         return "(none)"
-    return "; ".join(f"{alt.tag.value} {render_lf(alt.form)}" for alt in alts.members)
+    return "; ".join(f"{alt.tag._value_} {render_lf(alt.form)}" for alt in alts.members)
 
 
 def _fmt_forms(forms) -> str:
@@ -192,7 +197,7 @@ PRUNED_ALTERNATIVES = InputKind(
     ALTERNATIVES.render,
     lambda text, ctx, preds: prune_settled(ALTERNATIVES.parse(text, ctx, preds), ctx),
 )
-VARIANT = InputKind(lambda v: v.value, lambda text, ctx, preds: PresupVariant(text))
+VARIANT = InputKind(lambda v: v._value_, lambda text, ctx, preds: PresupVariant(text))
 RESTRICTOR = InputKind(lambda p: p.name, lambda text, ctx, preds: parse_predicate(text, preds))
 SCOPE = InputKind(lambda p: render_pexpr(p), lambda text, ctx, preds: parse_pexpr(text, preds))
 
@@ -274,7 +279,7 @@ RULES: dict[str, Rule] = {
     "reading-gate": Rule(
         (FORM,),
         _reading_gate,
-        lambda gate: f"{gate[0].value}: {'predictor skipped' if gate[1] is None else 'proceed'}",
+        lambda gate: f"{gate[0]._value_}: {'predictor skipped' if gate[1] is None else 'proceed'}",
     ),
     "qi-expansion": Rule(
         (RESTRICTOR, SCOPE),
@@ -306,7 +311,8 @@ def _step(trace: list[TraceStep], ctx: ContextState, rule: str, *inputs):
     else:
         (first, second), (x, y) = kinds, inputs
         rendered = (first.render(x), second.render(y))
-    trace.append(TraceStep(rule, rendered, output(value)))
+    # tuple.__new__ skips the Python frame of the namedtuple's own __new__.
+    trace.append(tuple.__new__(TraceStep, (rule, rendered, output(value))))
     return value
 
 

@@ -35,16 +35,18 @@ class Report(record("Report", "scenario reading aggregate theories continuations
 
 
 def build_report(name: str, judgment: Judgment) -> Report:
+    # ``_value_`` is each enum member's own attribute; ``.value`` would cost
+    # a Python-level descriptor call per field.
     return Report(
         scenario=name,
-        reading=judgment.reading.value,
-        aggregate=judgment.aggregate.value,
+        reading=judgment.reading._value_,
+        aggregate=judgment.aggregate._value_,
         theories=tuple(
-            TheoryRow(v.theory, v.verdict.value, v.mechanism.value, v.trace)
+            TheoryRow(v.theory, v.verdict._value_, v.mechanism._value_, v.trace)
             for v in judgment.theories
         ),
         continuations=tuple(
-            (render_lf(form), verdict.value) for form, verdict in judgment.continuations
+            (render_lf(form), verdict._value_) for form, verdict in judgment.continuations
         ),
     )
 
@@ -174,7 +176,10 @@ def render_report(report: Report, format: str = "table") -> str:
     if format == "json":
         global _quote
         if _quote is None:  # bound here, not at the top: start-up loads no json
-            from json.encoder import encode_basestring_ascii
+            try:  # the C escaper itself, without the json package around it
+                from _json import encode_basestring_ascii
+            except ImportError:
+                from json.encoder import encode_basestring_ascii
 
             _quote = encode_basestring_ascii
         return _json(report)

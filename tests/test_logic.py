@@ -44,6 +44,7 @@ from felicity import (
     ScaleRegistry,
     SOME,
     TRUE,
+    Tag,
     TruePred,
     WellFormednessError,
     analyze_reading,
@@ -700,6 +701,8 @@ class TestInterning:
         assert "__hash__" not in vars(logic.Interned)
         assert all(type(node).__hash__ is object.__hash__ for node in _NODES)
         assert Quantifier.__hash__ is object.__hash__
+        # alternative sets hold tags, and the per-set memos hash the sets
+        assert Tag.__hash__ is object.__hash__
         form = parse_lf(_MAGRI_4, ITALIAN_PREDS)
         assert not hasattr(form, "_hash")
         assert hash(form) == object.__hash__(form)
@@ -987,7 +990,7 @@ class TestRecords:
     through the constructor."""
 
     def test_records_of_different_classes_with_equal_fields_differ(self):
-        from felicity import Alternative, Tag
+        from felicity import Alternative
 
         class Twin(logic.record("Alternative", "form tag")):
             __slots__ = ()
@@ -1014,7 +1017,7 @@ class TestRecords:
             ctx.bound = 3
 
     def test_replace_normalizes_and_validates(self):
-        from felicity import AlternativeSet, Alternative, ContextState, Tag
+        from felicity import AlternativeSet, Alternative, ContextState
         from felicity.context import InconsistentContextError
 
         clause = some(ITALIAN, Atom(WARM))

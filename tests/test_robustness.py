@@ -6,7 +6,7 @@ reordering the context changes nothing, each theory judges alone as it
 does among the others, neither a sequenced scope nor a distributive
 conjunction of clauses ever takes the indirect route, and a plain target
 whose stronger alternatives the discourse has settled never fires
-magri-blind."""
+magri-blind. The engine's memos never show in its output."""
 
 from __future__ import annotations
 
@@ -40,8 +40,10 @@ from felicity import (
     replay_step,
     substitution_alternatives,
 )
+from felicity.alternatives import _set_declared
 from felicity.cli import main
-from felicity.judge import _clauses
+from felicity.context import _discourse_premises
+from felicity.judge import _clauses, _fmt_alts
 from felicity.logic import BUDGET_BITS, children, node_facts
 
 QUANTIFIERS = ("some", "most", "all", "no", "qi")
@@ -138,11 +140,11 @@ def scenarios(draw, clauses: int = 1, indirect: bool = False) -> str:
     )
 
 
-def _cli(*argv: str) -> tuple[int, str]:
+def _cli(*argv: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +194,9 @@ def test_generated_scenarios_keep_the_error_contract(scenario_path, text):
                         assert disjunct, step
                         assert render_lf(parse_lf(disjunct[1], preds)) == disjunct[1], step
         expected_code = 0 if judgment.aggregate == scenario.expect else 1
-    code, err = _cli("check", str(scenario_path))
+    code, _, err = _cli("check", str(scenario_path))
     assert code == expected_code and "internal error" not in err, err
-    code, err = _cli("run", "--format", "json", "--explain", str(scenario_path))
+    code, _, err = _cli("run", "--format", "json", "--explain", str(scenario_path))
     assert code == (2 if expected_code == 2 else 0) and "internal error" not in err, err
 
 
@@ -277,26 +279,22 @@ def _nodes(node):
         yield from _nodes(child)
 
 
-@settings(max_examples=100, deadline=None)
-@given(scenarios(), st.data())
-def test_a_settled_plain_target_does_not_fire_magri_blind(text, data):
-    # magri-5: a plain target (no only) that common knowledge admits, after
-    # a discourse that settles each of its clauses' stronger alternatives.
-    # Pruning leaves exh nothing to negate, so no mismatching implicature.
-    try:
-        scenario = parse_scenario(text)
-    except FelicityError as exc:
-        event(f"refused: {type(exc).__name__}")
-        return
+def _settle(scenario, data):
+    """magri-5's shape: the scenario with its plain target (no only) and
+    common knowledge that admits it, first as drawn (common knowledge may
+    also hold one stronger alternative) and then after a discourse that
+    settles each stronger alternative of the target's clauses, with those
+    alternatives. None, with the reason as an event, when the target has
+    only or contradicts common knowledge."""
     target, ck = scenario.target, scenario.common_knowledge
     scales, bound = scenario.scales, scenario.max_universe
     space = (scenario.preds, bound, scales)
     if any(type(n) is Only for n in _nodes(target)):
         event("only in the target")
-        return
+        return None
     if not consistent(ck + (target,), *space):
         event("target contradicts common knowledge")
-        return
+        return None
     stronger = [
         m for clause in _clauses(target)
         for m in substitution_alternatives(clause, scales, bound).stronger()
@@ -312,14 +310,91 @@ def test_a_settled_plain_target_does_not_fire_magri_blind(text, data):
     discourse = scenario.discourse
     if not consistent(ck + discourse + (target,), *space):
         discourse = ()
-    unsettled = scenario._replace(
-        common_knowledge=ck, discourse=discourse, enabled_theories=("magri-blind",)
-    )
-    event(f"stronger alternatives settled: {min(len(stronger), 3)}")
-    event(f"magri-blind fires before settling: {judge(unsettled).theories[0].fired}")
+    unsettled = scenario._replace(common_knowledge=ck, discourse=discourse)
     for m in stronger:
         facts = ck + discourse + (target,)
         discourse += (NotLF(m),) if consistent(facts + (NotLF(m),), *space) else (m,)
-    settled = unsettled._replace(discourse=discourse)
+    return unsettled, unsettled._replace(discourse=discourse), stronger
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.data())
+def test_a_settled_plain_target_does_not_fire_magri_blind(text, data):
+    # magri-5: a plain target (no only) that common knowledge admits, after
+    # a discourse that settles each of its clauses' stronger alternatives.
+    # Pruning leaves exh nothing to negate, so no mismatching implicature.
+    try:
+        scenario = parse_scenario(text)
+    except FelicityError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    shapes = _settle(scenario._replace(enabled_theories=("magri-blind",)), data)
+    if shapes is None:
+        return
+    unsettled, settled, stronger = shapes
+    event(f"stronger alternatives settled: {min(len(stronger), 3)}")
+    event(f"magri-blind fires before settling: {judge(unsettled).theories[0].fired}")
     judgment = judge(settled)
     assert not judgment.theories[0].fired, render_traces(build_report(settled.name, judgment))
+
+
+# The memos that key on an alternative set or a discourse record.
+_MEMOS = (_fmt_alts, _set_declared, _discourse_premises)
+# One context section of a generated scenario's text.
+CONTEXT_SECTION = re.compile(r"\n  \((?:common-knowledge|discourse) [^\n]*")
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.data())
+def test_the_memos_never_show_in_the_output(scenario_path, text, data):
+    # A memo keyed on less than its value depends on returns what another
+    # call stored. So the output after the memos are cleared must equal the
+    # output after they were filled in another order: every trace step
+    # replayed, the pruning steps first, so that a pruned set is rendered
+    # before the set it was pruned from (which has the same origin), the
+    # reverse of a judgment's order. magri-5's settled shape prunes.
+    try:
+        scenario = parse_scenario(text)
+    except FelicityError as exc:
+        event(f"refused: {type(exc).__name__}")
+    else:
+        shapes = _settle(scenario, data)
+        if shapes is not None:
+            settled = shapes[1]
+            context = "".join(
+                _section(name, [render_lf(lf) for lf in forms])
+                for name, forms in (
+                    ("common-knowledge", settled.common_knowledge),
+                    ("discourse", settled.discourse),
+                )
+            )
+            text = CONTEXT_SECTION.sub("", text)
+            text = text.replace("\n  (target ", context + "\n  (target ", 1)
+    scenario_path.write_text(text, encoding="utf-8")
+    argv = ("run", "--format", "json", "--explain", str(scenario_path))
+    for memo in _MEMOS:
+        memo.cache_clear()
+    cleared = _cli(*argv)
+    try:
+        scenario = parse_scenario(text)
+        judgment = judge(scenario)
+    except FelicityError:
+        pass
+    else:
+        for memo in _MEMOS:
+            memo.cache_clear()
+        ctx = ContextState(
+            common_knowledge=scenario.common_knowledge,
+            discourse=scenario.discourse,
+            preds=scenario.preds,
+            bound=scenario.max_universe,
+            scales=scenario.scales,
+        )
+        steps = [step for verdict in judgment.theories for step in verdict.trace]
+        alternatives = {s.inputs: s.output for s in steps if s.rule == "alternatives"}
+        pruning = [s for s in steps if s.rule == "prune-settled"]
+        dropped = any(s.output != alternatives[s.inputs] for s in pruning)
+        event(f"pruning drops alternatives: {dropped}")
+        for step in sorted(steps, key=lambda s: s.rule != "prune-settled"):
+            replay_step(step, ctx)
+    assert _cli(*argv) == cleared

@@ -6,7 +6,9 @@ So start-up must not load modules it does not use (``json``, ``string``,
 ``threading``), nor the costly ones that records and node classes once
 needed (``dataclasses``, with the ``inspect`` it imports, ``typing`` and
 ``pathlib``). Node classes get their methods from ``Interned`` once, and
-records are slotted namedtuples, not generated dataclasses.
+records are slotted namedtuples, not generated dataclasses. A JSON report
+needs only the C escaper from ``_json``, not the ``json`` package with its
+decoder and scanner.
 """
 
 from __future__ import annotations
@@ -111,3 +113,29 @@ def test_every_record_class_is_a_slotted_tuple(probe):
     # the plain namedtuples too: NodeFacts, TraceStep, InputKind and Rule
     assert set(probe["tuples"]) == {*records, "NodeFacts", "TraceStep", "InputKind", "Rule"}
     assert all(slots == () for slots in probe["tuples"].values()), probe["tuples"]
+
+
+# Renders one JSON report in a fresh interpreter without site, and lists
+# the modules of the json package loaded by then.
+_JSON_PROBE = """
+import sys
+import felicity
+with open(sys.argv[1], encoding="utf-8") as fh:
+    scenario = felicity.parse_scenario(fh.read())
+report = felicity.build_report(scenario.name, felicity.judge(scenario))
+assert felicity.render_report(report, "json").startswith('{"scenario": "magri-4"')
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "json"))
+"""
+
+
+def test_a_json_report_does_not_import_the_json_decoder():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    fixture = SRC.parent / "fixtures" / "magri-4.sexp"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _JSON_PROBE, str(fixture)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout) == []
