@@ -32,7 +32,6 @@ from .logic import (
     TRUE,
     entails,
     entails_with_existential_import,
-    existence_premises,
     lf_predicates,
     record,
 )
@@ -46,7 +45,7 @@ class Tag(Enum):
     INCOMPARABLE = "incomparable"
 
     # Members are singletons, so identity hashing is exact; it runs in C,
-    # and alternative sets, which hold tags, key the memos below.
+    # and alternative sets, which hold tags, key judge's trace-text memo.
     __hash__ = object.__hash__
 
 
@@ -101,29 +100,25 @@ def _variants(lf: LogicalForm, scales: ScaleRegistry) -> list[LogicalForm]:
     return [type(lf)(*values) for values in product(*fields)]
 
 
-def _declared(*forms: LogicalForm) -> tuple[PredicateSym, ...]:
-    """The predicate symbols of the forms, one per name, first seen first:
-    the declarations an oracle query about just these forms needs."""
+def _declared(lf: LogicalForm) -> tuple[PredicateSym, ...]:
+    """The predicate symbols of lf, one per name, first seen first: the
+    declarations an oracle query about lf and its variants needs, since a
+    variant swaps quantifiers only."""
     table: dict[str, PredicateSym] = {}
-    for lf in forms:
-        for p in lf_predicates(lf):
-            table.setdefault(p.name, p)
+    for p in lf_predicates(lf):
+        table.setdefault(p.name, p)
     return tuple(table.values())
 
 
 def _tag(
     member: LogicalForm,
     origin: LogicalForm,
-    existence: tuple[LogicalForm, ...],
     preds: tuple[PredicateSym, ...],
     bound: int,
     scales: ScaleRegistry,
 ) -> Tag:
-    # entails_with_existential_import, with the origin's existence premises
-    # passed in: a variant swaps quantifiers only, so it has the same
-    # restrictors as its origin.
-    up = entails((member, *existence), origin, preds, bound, scales)
-    down = entails((origin, *existence), member, preds, bound, scales)
+    up = entails_with_existential_import([member], origin, preds, bound, scales)
+    down = entails_with_existential_import([origin], member, preds, bound, scales)
     if up and not down:
         return Tag.STRONGER
     if down and not up:
@@ -138,15 +133,16 @@ def substitution_alternatives(
     """Scale-mate substitution alternatives of lf, tagged for strength.
 
     Tags compare against the origin by bounded entailment with existential
-    import on the restrictors. A form with no scalar item on any scale gets
-    an empty set, which is not an error. Memoized: every predictor asks for
-    the alternatives of the same clauses, and the result is immutable.
+    import on the restrictors. A member swaps quantifiers only, so it names
+    lf's predicates in lf's first-seen order, and its oracle queries declare
+    just those. A form with no scalar item on any scale gets an empty set,
+    which is not an error. Memoized: every predictor asks for the
+    alternatives of the same clauses, and the result is immutable.
     """
     preds = _declared(lf)
-    existence = existence_premises((lf,))
     # The first variant is lf itself; the others are distinct nodes.
     members = tuple(
-        Alternative(form, _tag(form, lf, existence, preds, bound, scales))
+        Alternative(form, _tag(form, lf, preds, bound, scales))
         for form in _variants(lf, scales)[1:]
     )
     return AlternativeSet(origin=lf, members=members)
@@ -157,8 +153,8 @@ def prune_settled(alts: AlternativeSet, ctx: ContextState) -> AlternativeSet:
 
     This is the relevance filter: a question settled by what was explicitly
     said is no longer on the table. Common knowledge is never consulted.
-    Each member is one ``settled_by_discourse`` query; the discourse
-    premises those queries share are built once per discourse record.
+    Each member is one ``settled_by_discourse`` query. The kept members
+    are members of alts, so they mention exactly the origin's predicates.
     """
     keep = tuple(
         alt for alt in alts.members if not settled_by_discourse(ctx, alt.form)
@@ -188,23 +184,19 @@ def exh(
     of the stronger alternatives together contradict lf, so the result is
     inconsistent.
 
-    Each stronger alternative is one oracle query, on every call. The
-    predicates they declare are collected once per alternative set.
+    Each stronger alternative is one oracle query, on every call, which
+    declares lf's predicates: a member of a set that
+    ``substitution_alternatives`` or ``prune_settled`` builds swaps
+    quantifiers only. A member that mentions a predicate lf lacks raises
+    the oracle's ``DeclarationError``.
     """
     if alts.origin != lf:
         raise ValueError("alternative set was computed for a different origin")
-    preds = _set_declared(alts)
+    preds = _declared(lf)
     negations = [
         NotLF(m) for m in alts.stronger() if not entails([lf], m, preds, bound, scales)
     ]
     return reduce(AndLF, negations, lf)
-
-
-@lru_cache(maxsize=2048)
-def _set_declared(alts: AlternativeSet) -> tuple[PredicateSym, ...]:
-    """``_declared`` over the origin and every member of alts. Keyed on the
-    set's value: a pruned set and its unpruned source share an origin."""
-    return _declared(alts.origin, *alts.forms())
 
 
 def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, ...]:

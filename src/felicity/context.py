@@ -11,7 +11,6 @@ compatible with both tiers.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from .logic import (
     DEFAULT_BOUND,
@@ -101,23 +100,17 @@ def p_holds(ctx: ContextState, lf: LogicalForm) -> bool:
 contextually_entails = k_holds
 
 
-@lru_cache(maxsize=1024)
-def _discourse_premises(discourse: tuple[LogicalForm, ...]) -> tuple[LogicalForm, ...]:
-    # An utterance carries existential import for its own restrictors;
-    # without it, "no(A)(B)" would fail to settle "all(A)(B)" negatively
-    # through the empty-restrictor loophole. Built once per discourse
-    # record: pruning asks about every alternative against the same record.
-    return discourse + existence_premises(discourse)
-
-
 def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:
     """The discourse record alone decides lf: it entails lf, or it is
     inconsistent with lf.
 
     Common knowledge is deliberately not consulted: this is the relevance
-    test, and it must stay blind to the background tier.
+    test, and it must stay blind to the background tier. An utterance
+    carries existential import for its own restrictors; without it,
+    "no(A)(B)" would fail to settle "all(A)(B)" negatively through the
+    empty-restrictor loophole. Those premises are one cached lookup.
     """
-    premises = _discourse_premises(ctx.discourse)
+    premises = ctx.discourse + existence_premises(ctx.discourse)
     entailed = entails(premises, lf, ctx.preds, ctx.bound, ctx.scales)
     return entailed or not consistent(premises + (lf,), ctx.preds, ctx.bound, ctx.scales)
 

@@ -309,6 +309,8 @@ def _parse_scales(section: list, tokens: list[str]) -> ScaleRegistry:
             quant = _expect_atom(item, tokens, "a quantifier")
             if quant not in _QUANTS:
                 raise TokenError(f"unknown quantifier {quant!r}", item)
+            if any(_QUANTS[quant] in scale for scale in scales):
+                raise TokenError(f"{quant!r} is already on an earlier scale", node)
             members.append(_QUANTS[quant])
         try:
             scales.append(Scale(tuple(members)))

@@ -80,7 +80,10 @@ class Scale(Interned):
 
 
 class ScaleRegistry(Interned):
-    """The scales in force; a quantifier's scale is the first that holds it."""
+    """The scales in force; a quantifier's scale is the first that holds it.
+    The parser refuses a quantifier on two scales, but a registry built
+    directly may hold overlapping scales: a later one is then dead for the
+    quantifiers it shares."""
 
     scales: tuple[Scale, ...]
 

@@ -13,6 +13,7 @@ from felicity import (
     AndLF,
     Atom,
     ContextState,
+    DeclarationError,
     MOST,
     NO,
     NotLF,
@@ -39,6 +40,7 @@ from felicity import (
     render_lf,
     substitution_alternatives,
 )
+from felicity.logic import lf_predicates
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, WARM
 
 
@@ -174,6 +176,17 @@ def test_alternatives_of_nested_forms_come_in_per_class_order(lf, scales):
     assert substitution_alternatives(lf, scales, 2).forms() == tuple(expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_nested_forms(2), st.sampled_from(_REGISTRIES))
+def test_every_alternative_names_its_origins_predicates_in_order(lf, scales):
+    # exh declares the origin's predicates for each member's query
+    def names(form):
+        return list(dict.fromkeys(p.name for p in lf_predicates(form)))
+
+    for alt in substitution_alternatives(lf, scales, 2).forms():
+        assert names(alt) == names(lf)
+
+
 def _paired_quantifiers(alt, orig):
     if isinstance(alt, Quant):
         yield alt.quantifier, orig.quantifier
@@ -286,6 +299,15 @@ class TestExh:
         alts = substitution_alternatives(SOME_WARM, full_registry)
         with pytest.raises(ValueError):
             exh(ALL_WARM, alts)
+
+    def test_a_stronger_member_over_another_predicate_is_undeclared(self, short_registry):
+        # exh declares its origin's predicates only: a member that
+        # substitution could not have built names one the oracle lacks
+        from felicity import Alternative, AlternativeSet
+
+        alts = AlternativeSet(SOME_WARM, (Alternative(ALL_CONJ, Tag.STRONGER),))
+        with pytest.raises(DeclarationError, match=r"undeclared predicates \['blond'\]"):
+            exh(SOME_WARM, alts, 3, short_registry)
 
 
 class TestDisjunctionIgnorance:

@@ -198,6 +198,24 @@ class TestRun:
         col = len(head) + len("(scales ") + 1
         assert err == f"error: {bad}: line 1, col {col}: duplicate members in scale (some some)\n"
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_a_quantifier_on_two_scales_names_file_and_position(self, capsys, tmp_path, command):
+        # A quantifier has one set of scale-mates: a later scale that repeats
+        # one is refused at that scale, not silently shadowed by the first.
+        bad = tmp_path / "two-scales.sexp"
+        bad.write_text(
+            "(scenario two-scales\n"
+            "  (individuals 2)\n"
+            "  (predicates (a :stative) (b :stative))\n"
+            "  (scales (some most all) (some most))\n"
+            "  (target (some a b))\n"
+            "  (continuations (only (most a b)))\n"
+            "  (expect felicitous))\n"
+        )
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: line 4, col 27: 'some' is already on an earlier scale\n"
+
     @pytest.mark.parametrize("command, expected", [("run", 0), ("check", 1)])
     def test_a_one_member_scale_is_judged(self, capsys, tmp_path, command, expected):
         # magri-13 over (scales (some)): the indefinite expands to a single

@@ -40,9 +40,7 @@ from felicity import (
     replay_step,
     substitution_alternatives,
 )
-from felicity.alternatives import _set_declared
 from felicity.cli import main
-from felicity.context import _discourse_premises
 from felicity.judge import _clauses, _fmt_alts
 from felicity.logic import BUDGET_BITS, children, node_facts
 
@@ -60,6 +58,8 @@ IGNORANCE_ITEM = re.compile(r"\(not \(know (.*)\)\)\Z")
 MAX_INDIVIDUALS = 5
 # A predicate name that the generator declares.
 PRED_NAME = re.compile(r"\b[se]\d\b")
+# The scale lists of a generated scenario's text.
+SCALES_SECTION = re.compile(r"\n  \(scales (.*)\)\n")
 
 
 def _scopes(preds: tuple[str, ...], eventive: tuple[str, ...]):
@@ -129,6 +129,10 @@ def scenarios(draw, clauses: int = 1, indirect: bool = False) -> str:
         x, y = draw(branch), draw(branch)
         target = st.just(f"(some {restrictor} (and-conc {x} {y}))")
         known = st.one_of(forms, st.just(f"(all {restrictor} {x})"))
+    if draw(st.integers(0, 9)):
+        # Most scenarios keep each quantifier on one scale, as the parser
+        # requires; the rest keep the lists as drawn, so some are refused.
+        scales = [s for i, s in enumerate(scales) if set(s).isdisjoint(sum(scales[:i], ()))]
     return (
         f"(scenario fuzz\n  (individuals {draw(individuals)})\n  (predicates {declared})"
         + _section("scales", [f"({' '.join(s)})" for s in scales])
@@ -157,12 +161,18 @@ def scenario_path(tmp_path_factory):
 def test_generated_scenarios_keep_the_error_contract(scenario_path, text):
     scenario_path.write_text(text, encoding="utf-8")
     expected_code = 2
+    section = SCALES_SECTION.search(text)
+    quantifiers = section[1].replace("(", " ").replace(")", " ").split() if section else []
+    repeated = len(set(quantifiers)) != len(quantifiers)
+    event(f"a quantifier on two scales: {repeated}")
     try:
         scenario = parse_scenario(text)
         judgment = judge(scenario)
     except FelicityError as exc:
         event(f"refused: {type(exc).__name__}")
+        assert repeated or "on an earlier scale" not in str(exc)
     else:
+        assert not repeated
         event("judged")
         event(f"predicates: {len(scenario.preds)}")
         event(f"individuals past 3: {scenario.max_universe > 3}")
@@ -338,8 +348,6 @@ def test_a_settled_plain_target_does_not_fire_magri_blind(text, data):
     assert not judgment.theories[0].fired, render_traces(build_report(settled.name, judgment))
 
 
-# The memos that key on an alternative set or a discourse record.
-_MEMOS = (_fmt_alts, _set_declared, _discourse_premises)
 # One context section of a generated scenario's text.
 CONTEXT_SECTION = re.compile(r"\n  \((?:common-knowledge|discourse) [^\n]*")
 
@@ -348,8 +356,8 @@ CONTEXT_SECTION = re.compile(r"\n  \((?:common-knowledge|discourse) [^\n]*")
 @given(scenarios(), st.data())
 def test_the_memos_never_show_in_the_output(scenario_path, text, data):
     # A memo keyed on less than its value depends on returns what another
-    # call stored. So the output after the memos are cleared must equal the
-    # output after they were filled in another order: every trace step
+    # call stored. So the output after the trace-text memo is cleared must
+    # equal the output after it was filled in another order: every trace step
     # replayed, the pruning steps first, so that a pruned set is rendered
     # before the set it was pruned from (which has the same origin), the
     # reverse of a judgment's order. magri-5's settled shape prunes.
@@ -372,8 +380,7 @@ def test_the_memos_never_show_in_the_output(scenario_path, text, data):
             text = text.replace("\n  (target ", context + "\n  (target ", 1)
     scenario_path.write_text(text, encoding="utf-8")
     argv = ("run", "--format", "json", "--explain", str(scenario_path))
-    for memo in _MEMOS:
-        memo.cache_clear()
+    _fmt_alts.cache_clear()
     cleared = _cli(*argv)
     try:
         scenario = parse_scenario(text)
@@ -381,8 +388,7 @@ def test_the_memos_never_show_in_the_output(scenario_path, text, data):
     except FelicityError:
         pass
     else:
-        for memo in _MEMOS:
-            memo.cache_clear()
+        _fmt_alts.cache_clear()
         ctx = ContextState(
             common_knowledge=scenario.common_knowledge,
             discourse=scenario.discourse,
