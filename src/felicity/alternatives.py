@@ -45,7 +45,7 @@ class Tag(Enum):
     INCOMPARABLE = "incomparable"
 
     # Members are singletons, so identity hashing is exact; it runs in C,
-    # and alternative sets, which hold tags, key judge's trace-text memo.
+    # and alternative sets, which hold tags, key judge's trace-step memo.
     __hash__ = object.__hash__
 
 
@@ -75,6 +75,9 @@ class AlternativeSet(record("AlternativeSet", "origin members")):
 class PresupVariant(Enum):
     WEAK = "weak"
     EXHAUSTIFIED = "exhaustified"
+
+    # Identity hashing, as for Tag: a variant keys judge's trace-step memo.
+    __hash__ = object.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +237,10 @@ def presupposition(lf: LogicalForm, variant: PresupVariant) -> LogicalForm | Non
     variant additionally carrying "but not all". An overt 'only' is stripped
     to its prejacent first. Other forms have no presupposition rule: None.
     """
-    if isinstance(lf, Only):
+    # Exact types, as node_facts tests them: isinstance on a node class is slow.
+    if type(lf) is Only:
         lf = lf.body
-    if not isinstance(lf, Quant) or lf.quantifier not in (ALL, SOME):
+    if type(lf) is not Quant or lf.quantifier not in (ALL, SOME):
         return None
     content = AndLF(Quant(SOME, lf.restrictor, TRUE), lf)
     if lf.quantifier is SOME and variant is PresupVariant.EXHAUSTIFIED:

@@ -77,6 +77,9 @@ class Reading(Enum):
     DISTRIBUTIVE_SENTENTIAL = "distributive-sentential"
     SIMPLE = "simple"
 
+    # Identity hashing, as for Tag, runs in C: a reading-gate value keys _record.
+    __hash__ = object.__hash__
+
 
 class Mechanism(Enum):
     MISMATCHING_SI = "mismatching-SI"
@@ -124,8 +127,9 @@ class Judgment(record("Judgment", "reading theories continuations", ((),))):
 
 def _clauses(lf: LogicalForm) -> tuple[LogicalForm, ...]:
     """The two clauses of a conjunction of quantified clauses, else lf alone."""
+    # Exact types, as node_facts tests them: isinstance on a node class is slow.
     clause = (Quant, Only)
-    if isinstance(lf, AndLF) and isinstance(lf.left, clause) and isinstance(lf.right, clause):
+    if type(lf) is AndLF and type(lf.left) in clause and type(lf.right) in clause:
         return (lf.left, lf.right)
     return (lf,)
 
@@ -153,14 +157,14 @@ def analyze_reading(lf: LogicalForm) -> Reading:
 #
 # The functions in the table call the engine's functions through their
 # module-level names, looked up at each call, so that anything that rebinds
-# those names (a profiler, say) sees the calls a trace makes.
+# those names (a profiler, say) sees the calls a trace makes. The renderers
+# run only when ``_record`` misses, so such a profiler sees ``render_lf``
+# once per distinct step, not once per recorded one.
 
 
-@lru_cache(maxsize=2048)
 def _fmt_alts(alts: AlternativeSet) -> str:
-    """The set's members with their tags. Keyed on the set's value: a pruned
-    set and its unpruned source share an origin. ``_value_`` is the member's
-    own attribute, where ``.value`` is a Python-level descriptor."""
+    """The set's members with their tags. ``_value_`` is the member's own
+    attribute, where ``.value`` is a Python-level descriptor."""
     if not alts.members:
         return "(none)"
     return "; ".join(f"{alt.tag._value_} {render_lf(alt.form)}" for alt in alts.members)
@@ -301,9 +305,21 @@ RULES: dict[str, Rule] = {
 
 
 def _step(trace: list[TraceStep], ctx: ContextState, rule: str, *inputs):
-    """Compute ``rule`` on the inputs, record the step and return the value."""
-    kinds, compute, output = RULES[rule]
-    value = compute(ctx, *inputs)
+    """Compute ``rule`` on the inputs, append the step to the trace and
+    return the value. Only the step's text comes from a memo."""
+    value = RULES[rule].compute(ctx, *inputs)
+    trace.append(_record(rule, inputs, value))
+    return value
+
+
+@lru_cache(maxsize=8192)
+def _record(rule: str, inputs: tuple, value) -> TraceStep:
+    """The trace step of ``rule`` on the inputs with the value it computed:
+    the inputs rendered by their kinds, the value by the rule's renderer.
+    No renderer reads the context, so the arguments are the whole key, and
+    a repeated step costs one lookup. ``replay_step`` never reads this
+    memo: it renders what it recomputes itself."""
+    kinds, _, output = RULES[rule]
     # Every rule takes one or two inputs; spelled out, rendering them costs
     # no comprehension frame.
     if len(inputs) == 1:
@@ -312,8 +328,7 @@ def _step(trace: list[TraceStep], ctx: ContextState, rule: str, *inputs):
         (first, second), (x, y) = kinds, inputs
         rendered = (first.render(x), second.render(y))
     # tuple.__new__ skips the Python frame of the namedtuple's own __new__.
-    trace.append(tuple.__new__(TraceStep, (rule, rendered, output(value))))
-    return value
+    return tuple.__new__(TraceStep, (rule, rendered, output(value)))
 
 
 def replay_step(step: TraceStep, ctx: ContextState) -> str:

@@ -771,14 +771,15 @@ def _space(preds: tuple[PredicateSym, ...], bound: int) -> dict[str, int]:
 
 def _cells(p: PredExpr, masks: dict[str, int]) -> int:
     """The cells whose individuals satisfy p, as a bitmask over the cells;
-    masks comes from ``_space``."""
-    if isinstance(p, Atom):
+    masks comes from ``_space``. Exact types, as ``_truth`` tests them."""
+    cls = type(p)
+    if cls is Atom:
         return masks[p.pred.name]
-    if isinstance(p, TruePred):
+    if cls is TruePred:
         return (1 << (1 << len(masks))) - 1
-    if isinstance(p, NotP):
+    if cls is NotP:
         return ((1 << (1 << len(masks))) - 1) & ~_cells(p.body, masks)
-    if isinstance(p, (AndConc, AndSeq)):
+    if cls is AndConc or cls is AndSeq:
         return _cells(p.left, masks) & _cells(p.right, masks)
     raise TypeError(f"not a predicate expression: {p!r}")
 

@@ -39,6 +39,7 @@ from felicity import (
     predict_presupposed_ignorance,
     replay_step,
 )
+from felicity.judge import _record
 from conftest import (
     BLOND,
     ITALIAN,
@@ -453,6 +454,19 @@ class TestTraceIntegrity:
                         verdict.theory,
                         step,
                     )
+
+    def test_replay_leaves_the_step_memo_alone(self, italian_ctx):
+        # Replay renders what it recomputes itself, so a stale memo entry
+        # cannot vouch for itself: it neither reads nor fills judge._record.
+        scenario = Scenario(
+            name="replay", preds=ITALIAN_PREDS, target=SENTENCE_4,
+            scales=italian_ctx.scales, common_knowledge=italian_ctx.common_knowledge,
+        )
+        steps = [step for verdict in judge(scenario).theories for step in verdict.trace]
+        before = _record.cache_info()
+        for step in steps:
+            assert replay_step(step, italian_ctx) == step.output, step
+        assert _record.cache_info() == before
 
     @pytest.mark.parametrize(
         "step, message",

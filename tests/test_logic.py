@@ -35,6 +35,7 @@ from felicity import (
     Only,
     OrLF,
     PredicateSym,
+    PresupVariant,
     QI,
     Quant,
     Quantifier,
@@ -702,8 +703,11 @@ class TestInterning:
         assert "__hash__" not in vars(logic.Interned)
         assert all(type(node).__hash__ is object.__hash__ for node in _NODES)
         assert Quantifier.__hash__ is object.__hash__
-        # alternative sets hold tags, and the per-set memos hash the sets
+        # alternative sets hold tags, and the per-set memos hash the sets;
+        # readings and variants sit in the keys of judge's trace-step memo
         assert Tag.__hash__ is object.__hash__
+        assert Reading.__hash__ is object.__hash__
+        assert PresupVariant.__hash__ is object.__hash__
         form = parse_lf(_MAGRI_4, ITALIAN_PREDS)
         assert not hasattr(form, "_hash")
         assert hash(form) == object.__hash__(form)

@@ -41,7 +41,7 @@ from felicity import (
     substitution_alternatives,
 )
 from felicity.cli import main
-from felicity.judge import _clauses, _fmt_alts
+from felicity.judge import RULES, _clauses, _record, _step
 from felicity.logic import BUDGET_BITS, children, node_facts
 
 QUANTIFIERS = ("some", "most", "all", "no", "qi")
@@ -356,11 +356,12 @@ CONTEXT_SECTION = re.compile(r"\n  \((?:common-knowledge|discourse) [^\n]*")
 @given(scenarios(), st.data())
 def test_the_memos_never_show_in_the_output(scenario_path, text, data):
     # A memo keyed on less than its value depends on returns what another
-    # call stored. So the output after the trace-text memo is cleared must
-    # equal the output after it was filled in another order: every trace step
-    # replayed, the pruning steps first, so that a pruned set is rendered
-    # before the set it was pruned from (which has the same origin), the
-    # reverse of a judgment's order. magri-5's settled shape prunes.
+    # call stored. So the output after the trace-step memo is cleared must
+    # equal the output after it was filled in another order: every recorded
+    # step recorded again through _step from its inputs, parsed by their
+    # kinds, in reverse trace order, so that a pruned set's step comes before
+    # the step that generated the set it was pruned from. Replay cannot fill
+    # the memo, since it never reads it. magri-5's settled shape prunes.
     try:
         scenario = parse_scenario(text)
     except FelicityError as exc:
@@ -380,7 +381,7 @@ def test_the_memos_never_show_in_the_output(scenario_path, text, data):
             text = text.replace("\n  (target ", context + "\n  (target ", 1)
     scenario_path.write_text(text, encoding="utf-8")
     argv = ("run", "--format", "json", "--explain", str(scenario_path))
-    _fmt_alts.cache_clear()
+    _record.cache_clear()
     cleared = _cli(*argv)
     try:
         scenario = parse_scenario(text)
@@ -388,7 +389,7 @@ def test_the_memos_never_show_in_the_output(scenario_path, text, data):
     except FelicityError:
         pass
     else:
-        _fmt_alts.cache_clear()
+        _record.cache_clear()
         ctx = ContextState(
             common_knowledge=scenario.common_knowledge,
             discourse=scenario.discourse,
@@ -401,6 +402,9 @@ def test_the_memos_never_show_in_the_output(scenario_path, text, data):
         pruning = [s for s in steps if s.rule == "prune-settled"]
         dropped = any(s.output != alternatives[s.inputs] for s in pruning)
         event(f"pruning drops alternatives: {dropped}")
-        for step in sorted(steps, key=lambda s: s.rule != "prune-settled"):
-            replay_step(step, ctx)
+        preds = {p.name: p for p in ctx.preds}
+        for step in reversed(steps):
+            kinds = RULES[step.rule].inputs
+            values = [kind.parse(shown, ctx, preds) for kind, shown in zip(kinds, step.inputs)]
+            _step([], ctx, step.rule, *values)
     assert _cli(*argv) == cleared
