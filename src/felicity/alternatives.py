@@ -30,6 +30,7 @@ from .logic import (
     Quant,
     SOME,
     TRUE,
+    _ask,
     entails,
     entails_with_existential_import,
     lf_predicates,
@@ -236,7 +237,13 @@ def presupposition(lf: LogicalForm, variant: PresupVariant) -> LogicalForm | Non
     some(A)(S) presupposes existence plus some, with the exhaustified
     variant additionally carrying "but not all". An overt 'only' is stripped
     to its prejacent first. Other forms have no presupposition rule: None.
+    Built once per clause and variant, then looked up.
     """
+    return _ask(_presupposition, lf, variant)
+
+
+@lru_cache(maxsize=1024)
+def _presupposition(lf: LogicalForm, variant: PresupVariant) -> LogicalForm | None:
     # Exact types, as node_facts tests them: isinstance on a node class is slow.
     if type(lf) is Only:
         lf = lf.body

@@ -87,14 +87,22 @@ def _expect_atom(node: SNode, tokens: list[str], what: str) -> str:
     return tokens[node]
 
 
+def _is_ident(text: str) -> bool:
+    return bool(_IDENT_RE.match(text)) and text not in _RESERVED
+
+
 def _ident(node: SNode, tokens: list[str], what: str = "an identifier") -> str:
     text = _expect_atom(node, tokens, what)
-    if not _IDENT_RE.match(text) or text in _RESERVED:
+    if not _is_ident(text):
         raise TokenError(f"expected {what}, got {text!r}", node)
     return text
 
 
 def _lookup(node: SNode, tokens: list[str], preds: Mapping[str, PredicateSym]) -> PredicateSym:
+    """The checked path for a predicate name: the builders first try a bare
+    ``preds.get`` on an atom's text, which is enough because every key of
+    the table is an identifier (see ``_pred_table``), and come here with
+    anything that lookup does not resolve."""
     name = _ident(node, tokens, "a predicate name")
     try:
         return preds[name]
@@ -104,12 +112,20 @@ def _lookup(node: SNode, tokens: list[str], preds: Mapping[str, PredicateSym]) -
 
 def _build_pexpr(node: SNode, tokens: list[str], preds: Mapping[str, PredicateSym]) -> PredExpr:
     if type(node) is int:
-        if tokens[node] == "true":
+        text = tokens[node]
+        if text == "true":
             return TRUE
-        return Atom(_lookup(node, tokens, preds))
+        pred = preds.get(text)
+        if pred is None:
+            pred = _lookup(node, tokens, preds)
+        return Atom(pred)
     if len(node) == 1:
         raise TokenError("empty predicate expression", node)
-    head = _expect_atom(node[1], tokens, "a predicate operator")
+    # The head is read inline, as _expect_atom would read it.
+    head = node[1]
+    if type(head) is not int:
+        raise TokenError("expected a predicate operator, got a list", head)
+    head = tokens[head]
     if head == "not":
         if len(node) != 3:
             raise TokenError("not takes exactly one operand", node)
@@ -139,13 +155,19 @@ def _build_lf(
         raise TokenError(f"expected a logical form, got bare atom {tokens[node]!r}", node)
     if len(node) == 1:
         raise TokenError("empty logical form", node)
-    head = _expect_atom(node[1], tokens, "a form keyword or quantifier")
-    if head in _QUANTS:
+    head = node[1]
+    if type(head) is not int:
+        raise TokenError("expected a form keyword or quantifier, got a list", head)
+    head = tokens[head]
+    quantifier = _QUANTS.get(head)
+    if quantifier is not None:
         if len(node) != 4:
             raise TokenError(f"a {head!r} clause takes a restrictor and a scope", node)
-        restrictor = _lookup(node[2], tokens, preds)
-        scope = _build_pexpr(node[3], tokens, preds)
-        return Quant(_QUANTS[head], restrictor, scope)
+        name = node[2]
+        restrictor = preds.get(tokens[name]) if type(name) is int else None
+        if restrictor is None:
+            restrictor = _lookup(name, tokens, preds)
+        return Quant(quantifier, restrictor, _build_pexpr(node[3], tokens, preds))
     if head == "only":
         if len(node) != 3:
             raise TokenError("only takes exactly one clause", node)
@@ -164,7 +186,9 @@ def _build_lf(
     if head == "and":
         if len(node) != 4:
             raise TokenError("and takes exactly two forms", node)
-        return AndLF(*(_build_lf(item, tokens, preds, scales) for item in node[2:]))
+        return AndLF(
+            _build_lf(node[2], tokens, preds, scales), _build_lf(node[3], tokens, preds, scales)
+        )
     if head == "or":
         if len(node) < 3:
             raise TokenError("or takes at least one form", node)
@@ -173,9 +197,11 @@ def _build_lf(
 
 
 def _pred_table(preds: Iterable[PredicateSym] | Mapping[str, PredicateSym]) -> dict[str, PredicateSym]:
-    if isinstance(preds, Mapping):
-        return dict(preds)
-    return {p.name: p for p in preds}
+    """The table a parse looks predicate names up in. It keeps only the keys
+    that ``_ident`` accepts, so a name found by a bare lookup is a valid
+    identifier; any other name misses and gets ``_lookup``'s message."""
+    items = preds.items() if isinstance(preds, Mapping) else ((p.name, p) for p in preds)
+    return {name: p for name, p in items if isinstance(name, str) and _is_ident(name)}
 
 
 def _parse(text: str, build, *args):
@@ -248,17 +274,21 @@ class Scenario(record(
         return self if self.scales is not None else self._replace(scales=default_registry())
 
 
-_SECTION_ORDER = (
-    "individuals",
-    "predicates",
-    "scales",
-    "common-knowledge",
-    "discourse",
-    "target",
-    "continuations",
-    "theories",
-    "expect",
-)
+# Each section's place in the order the sections must follow.
+_SECTION_INDEX = {
+    name: i
+    for i, name in enumerate((
+        "individuals",
+        "predicates",
+        "scales",
+        "common-knowledge",
+        "discourse",
+        "target",
+        "continuations",
+        "theories",
+        "expect",
+    ))
+}
 
 
 def _split_sections(items: list[SNode], tokens: list[str]) -> dict[str, list]:
@@ -267,10 +297,13 @@ def _split_sections(items: list[SNode], tokens: list[str]) -> dict[str, list]:
     for node in items:
         if type(node) is int or len(node) == 1:
             raise TokenError("expected a (section ...) form", node)
-        head = _expect_atom(node[1], tokens, "a section name")
-        if head not in _SECTION_ORDER:
+        head = node[1]
+        if type(head) is not int:
+            raise TokenError("expected a section name, got a list", head)
+        head = tokens[head]
+        index = _SECTION_INDEX.get(head)
+        if index is None:
             raise TokenError(f"unknown section {head!r}", node[1])
-        index = _SECTION_ORDER.index(head)
         if head in sections:
             raise TokenError(f"duplicate section {head!r}", node[1])
         if index < cursor:
@@ -445,15 +478,10 @@ def _build_scenario(root: SNode, tokens: list[str], source: str, bound: int | No
             sections["continuations"],
         )
 
-    return Scenario(
-        name=name,
-        preds=pred_tuple,
-        target=target,
-        max_universe=max_universe,
-        scales=scales,
-        common_knowledge=common_knowledge,
-        discourse=discourse,
-        continuations=continuations,
-        enabled_theories=enabled,
-        expect=expect,
+    # Every field is bound and scales is set, so Scenario.__new__ would
+    # change nothing; tuple.__new__ skips its keyword binding.
+    return tuple.__new__(
+        Scenario,
+        (name, pred_tuple, target, max_universe, scales, common_knowledge, discourse,
+         continuations, enabled, expect),
     )

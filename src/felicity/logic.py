@@ -1018,8 +1018,14 @@ def expand_qi(restrictor: PredicateSym, scope: PredExpr, scale) -> OrLF:
     first. Every quantifier here is one lexical item, so none is more
     complex than ``some`` and each is a licit stand-in. The pragmatic
     content of the indefinite lives entirely in this expansion; its truth
-    conditions are existential.
+    conditions are existential. Built once per clause and scale, then
+    looked up.
     """
+    return _ask(_expand_qi, restrictor, scope, scale)
+
+
+@lru_cache(maxsize=1024)
+def _expand_qi(restrictor: PredicateSym, scope: PredExpr, scale) -> OrLF:
     if SOME not in scale.members:
         raise ScaleError("expansion scale must contain 'some'")
     return OrLF(tuple(Quant(q, restrictor, scope) for q in reversed(scale.members)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from felicity import (
     Quant,
     SOME,
     Scale,
+    ScaleError,
     ScaleRegistry,
     TRUE,
     Tag,
@@ -40,7 +42,8 @@ from felicity import (
     render_lf,
     substitution_alternatives,
 )
-from felicity.logic import lf_predicates
+from felicity.alternatives import _presupposition
+from felicity.logic import _expand_qi, lf_predicates
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, WARM
 
 
@@ -395,3 +398,38 @@ class TestPresuppositions:
         p2 = presupposition(SOME_CONJ, PresupVariant.EXHAUSTIFIED)
         assert consistent([p1, p2], ITALIAN_PREDS) is False
         assert presup_strictly_stronger(p1, p2, ITALIAN_PREDS) is False
+
+
+class TestSyntaxMemos:
+    # presupposition and expand_qi look their answers up; a lookup must give
+    # the very node a fresh build gives, and a call the memo cannot key must
+    # be answered as before, without it.
+    def test_a_memo_returns_the_node_a_fresh_build_returns(self, short_registry):
+        scale = short_registry.scales[0]
+        _presupposition.cache_clear()
+        _expand_qi.cache_clear()
+        for lf in (ALL_CONJ, SOME_CONJ, Only(SOME_WARM)):
+            for variant in PresupVariant:
+                built = _presupposition.__wrapped__(lf, variant)
+                assert presupposition(lf, variant) is built
+                assert presupposition(lf, variant) is built
+        assert _presupposition.cache_info().hits > 0
+        built = _expand_qi.__wrapped__(ITALIAN, CONJ, scale)
+        assert expand_qi(ITALIAN, CONJ, scale) is built
+        assert expand_qi(ITALIAN, CONJ, scale) is built
+        assert _expand_qi.cache_info().hits == 1
+
+    def test_an_unhashable_argument_is_answered_uncached(self, short_registry):
+        scale = short_registry.scales[0]
+        assert presupposition([SOME_WARM], PresupVariant.WEAK) is None
+        assert presupposition(SOME_WARM, []) is presupposition(SOME_WARM, PresupVariant.WEAK)
+        # A scale read by its members only, not hashable.
+        scale_like = SimpleNamespace(members=[SOME, ALL])
+        assert expand_qi(ITALIAN, Atom(WARM), scale_like) is expand_qi(ITALIAN, Atom(WARM), scale)
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            expand_qi(ITALIAN, [Atom(WARM)], scale)
+
+    def test_a_refused_expansion_is_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ScaleError, match="must contain 'some'"):
+                expand_qi(ITALIAN, Atom(WARM), Scale((MOST, ALL)))

@@ -35,11 +35,13 @@ from felicity import (
     build_report,
     judge,
     parse_lf,
+    parse_pexpr,
     parse_scenario,
     render_lf,
     render_report,
     report_to_dict,
 )
+from felicity.dsl import parse_predicate
 from felicity.report import report_from_dict
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, LEFT, PORTUGAL, WARM, WON
 
@@ -115,6 +117,43 @@ class TestParseLf:
     def test_epistemic_forms_not_in_grammar(self):
         with pytest.raises(ParseError):
             parse_lf("(know (some italian warm))", PREDS)
+
+
+class TestPredicateTable:
+    # A table passed in by a caller may hold keys that are not names. A
+    # name the parser finds with one lookup must still pass the identifier
+    # check, and every other name must get the message of that check.
+    X, Y, Z, OK = (PredicateSym(name) for name in ("x", "y", "z", "ok"))
+    TABLE = {"and": X, "1a": Y, "a b": Z, "ok": OK}
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_lf, "(some ok and)", "line 1, col 10: expected a predicate name, got 'and'"),
+            (parse_lf, "(some and ok)", "line 1, col 7: expected a predicate name, got 'and'"),
+            (parse_lf, "(some 1a ok)", "line 1, col 7: expected a predicate name, got '1a'"),
+            (parse_lf, "(some ok 1a)", "line 1, col 10: expected a predicate name, got '1a'"),
+            (parse_lf, "(some a ok)", "line 1, col 7: undeclared predicate 'a'"),
+            (parse_lf, "(some ok b)", "line 1, col 10: undeclared predicate 'b'"),
+            (parse_lf, "(some (ok) ok)", "line 1, col 7: expected a predicate name, got a list"),
+            (parse_pexpr, "and", "line 1, col 1: expected a predicate name, got 'and'"),
+            (parse_pexpr, "(not 1a)", "line 1, col 6: expected a predicate name, got '1a'"),
+            (parse_pexpr, "a", "line 1, col 1: undeclared predicate 'a'"),
+            (parse_predicate, "and", "line 1, col 1: expected a predicate name, got 'and'"),
+            (parse_predicate, "1a", "line 1, col 1: expected a predicate name, got '1a'"),
+            (parse_predicate, "b", "line 1, col 1: undeclared predicate 'b'"),
+            (parse_predicate, "(ok)", "line 1, col 1: expected a predicate name, got a list"),
+        ],
+    )
+    def test_a_key_that_is_not_a_name_is_never_found(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, self.TABLE)
+        assert str(err.value) == message
+
+    def test_a_valid_key_beside_them_is_found(self):
+        assert parse_lf("(some ok ok)", self.TABLE) is Quant(SOME, self.OK, Atom(self.OK))
+        assert parse_pexpr("(not ok)", self.TABLE) is NotP(Atom(self.OK))
+        assert parse_predicate("ok", self.TABLE) is self.OK
 
 
 class TestRenderLf:

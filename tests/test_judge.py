@@ -19,6 +19,7 @@ from felicity import (
     NotLF,
     Only,
     ParseError,
+    PredicateSym,
     Quant,
     Reading,
     Scale,
@@ -467,6 +468,30 @@ class TestTraceIntegrity:
         for step in steps:
             assert replay_step(step, italian_ctx) == step.output, step
         assert _record.cache_info() == before
+
+    def test_one_step_recorded_with_two_values_keeps_both(self):
+        # The same rule on the same input computes a different value under
+        # another context. A step memo keyed without its value would hand
+        # the second judgment the first one's text.
+        a, b = PredicateSym("a"), PredicateSym("b")
+        target = some(a, Atom(b))
+        _record.cache_clear()
+        outputs = []
+        for ck in ((Quant(NO, a, Atom(b)),), ()):
+            ctx = ContextState(common_knowledge=ck, preds=(a, b))
+            scenario = Scenario(name="values", preds=(a, b), target=target, common_knowledge=ck)
+            steps = [
+                step
+                for verdict in judge(scenario).theories
+                for step in verdict.trace
+                if step.rule == "assertion-consistency"
+            ]
+            assert steps
+            for step in steps:
+                assert step.inputs == ("(some a b)",)
+                assert step.output == replay_step(step, ctx)
+            outputs.append({step.output for step in steps})
+        assert outputs == [{"inconsistent"}, {"consistent"}]
 
     @pytest.mark.parametrize(
         "step, message",

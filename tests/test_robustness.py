@@ -41,8 +41,9 @@ from felicity import (
     substitution_alternatives,
 )
 from felicity.cli import main
+from felicity.alternatives import _presupposition
 from felicity.judge import RULES, _clauses, _record, _step
-from felicity.logic import BUDGET_BITS, children, node_facts
+from felicity.logic import BUDGET_BITS, _expand_qi, children, node_facts
 
 QUANTIFIERS = ("some", "most", "all", "no", "qi")
 # Scales the scale check accepts, and one it refuses.
@@ -352,12 +353,18 @@ def test_a_settled_plain_target_does_not_fire_magri_blind(text, data):
 CONTEXT_SECTION = re.compile(r"\n  \((?:common-knowledge|discourse) [^\n]*")
 
 
+def _clear_memos():
+    # The trace-step memo and the two memos of rebuilt syntax.
+    for memo in (_record, _presupposition, _expand_qi):
+        memo.cache_clear()
+
+
 @settings(max_examples=100, deadline=None)
 @given(scenarios(), st.data())
 def test_the_memos_never_show_in_the_output(scenario_path, text, data):
     # A memo keyed on less than its value depends on returns what another
-    # call stored. So the output after the trace-step memo is cleared must
-    # equal the output after it was filled in another order: every recorded
+    # call stored. So the output after the memos are cleared must equal
+    # the output after they were filled in another order: every recorded
     # step recorded again through _step from its inputs, parsed by their
     # kinds, in reverse trace order, so that a pruned set's step comes before
     # the step that generated the set it was pruned from. Replay cannot fill
@@ -381,7 +388,7 @@ def test_the_memos_never_show_in_the_output(scenario_path, text, data):
             text = text.replace("\n  (target ", context + "\n  (target ", 1)
     scenario_path.write_text(text, encoding="utf-8")
     argv = ("run", "--format", "json", "--explain", str(scenario_path))
-    _record.cache_clear()
+    _clear_memos()
     cleared = _cli(*argv)
     try:
         scenario = parse_scenario(text)
@@ -389,7 +396,7 @@ def test_the_memos_never_show_in_the_output(scenario_path, text, data):
     except FelicityError:
         pass
     else:
-        _record.cache_clear()
+        _clear_memos()
         ctx = ContextState(
             common_knowledge=scenario.common_knowledge,
             discourse=scenario.discourse,
