@@ -5,17 +5,16 @@ scalar alternatives and implicatures, and predicts felicity or oddness of
 sentences in context under five competing theories.
 """
 
-from .logic import (
+from .logic import DEFAULT_BOUND, Model, consistent, entails, enumerate_models, evaluate
+from .syntax import (
     ALL,
     AndConc,
     AndLF,
     AndSeq,
     Atom,
     DeclarationError,
-    DEFAULT_BOUND,
     FelicityError,
     LogicalForm,
-    Model,
     MOST,
     NO,
     NotLF,
@@ -33,10 +32,6 @@ from .logic import (
     TRUE,
     TruePred,
     WellFormednessError,
-    consistent,
-    entails,
-    enumerate_models,
-    evaluate,
     expand_qi,
 )
 from .scales import Scale, ScaleRegistry, default_registry

@@ -18,10 +18,10 @@ from enum import Enum
 from functools import lru_cache, reduce
 from itertools import product
 
-from .logic import (
+from .logic import DEFAULT_BOUND, entails, entails_with_existential_import
+from .syntax import (
     ALL,
     AndLF,
-    DEFAULT_BOUND,
     LogicalForm,
     NotLF,
     Only,
@@ -31,8 +31,7 @@ from .logic import (
     SOME,
     TRUE,
     _ask,
-    entails,
-    entails_with_existential_import,
+    existence_premises,
     lf_predicates,
     record,
 )
@@ -114,22 +113,6 @@ def _declared(lf: LogicalForm) -> tuple[PredicateSym, ...]:
     return tuple(table.values())
 
 
-def _tag(
-    member: LogicalForm,
-    origin: LogicalForm,
-    preds: tuple[PredicateSym, ...],
-    bound: int,
-    scales: ScaleRegistry,
-) -> Tag:
-    up = entails_with_existential_import([member], origin, preds, bound, scales)
-    down = entails_with_existential_import([origin], member, preds, bound, scales)
-    if up and not down:
-        return Tag.STRONGER
-    if down and not up:
-        return Tag.WEAKER
-    return Tag.INCOMPARABLE
-
-
 @lru_cache(maxsize=1024)
 def substitution_alternatives(
     lf: LogicalForm, scales: ScaleRegistry, bound: int = DEFAULT_BOUND
@@ -139,17 +122,22 @@ def substitution_alternatives(
     Tags compare against the origin by bounded entailment with existential
     import on the restrictors. A member swaps quantifiers only, so it names
     lf's predicates in lf's first-seen order, and its oracle queries declare
-    just those. A form with no scalar item on any scale gets an empty set,
-    which is not an error. Memoized: every predictor asks for the
-    alternatives of the same clauses, and the result is immutable.
+    just those; it has lf's restrictors too, so one tuple of existence
+    premises serves every question. A form with no scalar item on any
+    scale gets an empty set, which is not an error. Memoized: every
+    predictor asks for the alternatives of the same clauses, and the result
+    is immutable.
     """
     preds = _declared(lf)
+    existence = existence_premises((lf,))
+    members = []
     # The first variant is lf itself; the others are distinct nodes.
-    members = tuple(
-        Alternative(form, _tag(form, lf, preds, bound, scales))
-        for form in _variants(lf, scales)[1:]
-    )
-    return AlternativeSet(origin=lf, members=members)
+    for form in _variants(lf, scales)[1:]:
+        up = entails((form, *existence), lf, preds, bound, scales)
+        down = entails((lf, *existence), form, preds, bound, scales)
+        tag = Tag.INCOMPARABLE if up is down else Tag.STRONGER if up else Tag.WEAKER
+        members.append(Alternative(form, tag))
+    return AlternativeSet(origin=lf, members=tuple(members))
 
 
 def prune_settled(alts: AlternativeSet, ctx: ContextState) -> AlternativeSet:

@@ -13,7 +13,7 @@ import sys
 
 from .dsl import THEORY_NAMES, Scenario, parse_scenario
 from .judge import judge
-from .logic import FelicityError
+from .syntax import FelicityError
 from .report import build_report, render_report, render_traces
 from .sexpr import ParseError
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .logic import (
-    DEFAULT_BOUND,
+from .logic import DEFAULT_BOUND, consistent, entails
+from .syntax import (
     FelicityError,
     LogicalForm,
-    consistent,
-    entails,
     existence_premises,
     record,
 )

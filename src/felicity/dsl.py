@@ -35,12 +35,12 @@ from functools import lru_cache
 from itertools import combinations
 
 from .context import Verdict
-from .logic import (
+from .logic import DEFAULT_BOUND, check_budget, consistent
+from .syntax import (
     AndConc,
     AndLF,
     AndSeq,
     Atom,
-    DEFAULT_BOUND,
     FelicityError,
     LogicalForm,
     NotLF,
@@ -58,9 +58,7 @@ from .logic import (
     WellFormednessError,
     _IDENT_RE,
     _RESERVED,
-    check_budget,
     children,
-    consistent,
     record,
 )
 from .scales import Scale, ScaleRegistry, default_registry

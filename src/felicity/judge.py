@@ -46,7 +46,8 @@ from .dsl import (
     render_lf,
     render_pexpr,
 )
-from .logic import (
+from .logic import consistent, entails, entails_with_existential_import
+from .syntax import (
     AndConc,
     AndLF,
     FelicityError,
@@ -54,9 +55,6 @@ from .logic import (
     Only,
     Quant,
     SOME,
-    consistent,
-    entails,
-    entails_with_existential_import,
     expand_qi,
     node_facts,
     record,

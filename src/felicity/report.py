@@ -19,7 +19,7 @@ from functools import lru_cache
 from .context import Verdict
 from .dsl import THEORY_NAMES, render_lf
 from .judge import RULES, Judgment, Mechanism, Reading, TraceStep
-from .logic import record
+from .syntax import record
 
 
 class TheoryRow(record("TheoryRow", "name verdict mechanism trace")):

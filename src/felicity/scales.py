@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .logic import (
-    DEFAULT_BOUND,
+from .logic import DEFAULT_BOUND, entails_with_existential_import
+from .syntax import (
+    ALL,
     Atom,
     Interned,
+    MOST,
     PredicateSym,
     Quant,
     Quantifier,
     ScaleError,
     SOME,
-    MOST,
-    ALL,
-    entails_with_existential_import,
 )
 
 _CHECK_A = PredicateSym("scale-check-a")

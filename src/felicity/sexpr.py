@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .logic import FelicityError
+from .syntax import FelicityError
 
 MAX_DEPTH = 100
 

@@ -43,7 +43,7 @@ from felicity import (
     substitution_alternatives,
 )
 from felicity.alternatives import _presupposition
-from felicity.logic import _expand_qi, lf_predicates
+from felicity.syntax import _expand_qi, lf_predicates
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, WARM
 
 

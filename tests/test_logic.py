@@ -59,7 +59,7 @@ from felicity import (
     render_lf,
     substitution_alternatives,
 )
-from felicity import logic
+from felicity import logic, syntax
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, LEFT, TALL, WARM, WON
 
 
@@ -406,11 +406,11 @@ class TestQuantifierProperties:
 
     def test_seq_non_intersective_regardless_of_order(self):
         # the seq fact: an and-seq occurs, so the scope is no intersection
-        assert logic.node_facts(AndSeq(Atom(WON), Atom(LEFT))).seq is True
-        assert logic.node_facts(AndSeq(Atom(LEFT), Atom(WON))).seq is True
-        assert logic.node_facts(AndConc(Atom(WARM), Atom(BLOND))).seq is False
-        assert logic.node_facts(Atom(WARM)).seq is False
-        assert logic.node_facts(AndConc(Atom(WON), AndSeq(Atom(WON), Atom(LEFT)))).seq is True
+        assert syntax.node_facts(AndSeq(Atom(WON), Atom(LEFT))).seq is True
+        assert syntax.node_facts(AndSeq(Atom(LEFT), Atom(WON))).seq is True
+        assert syntax.node_facts(AndConc(Atom(WARM), Atom(BLOND))).seq is False
+        assert syntax.node_facts(Atom(WARM)).seq is False
+        assert syntax.node_facts(AndConc(Atom(WON), AndSeq(Atom(WON), Atom(LEFT)))).seq is True
 
     def test_scale_monotonicity_on_nonempty_restrictors(self):
         preds = (ITALIAN, WARM)
@@ -546,6 +546,23 @@ def _sequents(draw):
     return preds, bound, draw(_form_lists(preds))
 
 
+# Names that no form of _sequents mentions.
+_UNMENTIONED = (PredicateSym("u"), PredicateSym("v", "eventive"))
+
+
+@st.composite
+def _padded_sequents(draw):
+    """A sequent, and its predicates with some that none of its forms
+    mentions mixed in, in any order."""
+    preds, bound, forms = draw(_sequents())
+    extra = draw(st.lists(st.sampled_from(_UNMENTIONED), min_size=1, unique=True))
+    return preds, tuple(draw(st.permutations(preds + tuple(extra)))), bound, forms
+
+
+# Eight predicates at bound 3: inside the budget, but past MAX_TABLE_BITS.
+_EIGHT = ITALIAN_PREDS + tuple(PredicateSym(n) for n in ("tall", "rich", "quiet", "young", "kind"))
+
+
 @contextlib.contextmanager
 def _counting_walks():
     """List every walk over the classes, which only a space without a
@@ -574,6 +591,51 @@ class TestClassOracle:
             row[-1] for row in rows if all(row[:-1])
         )
         assert consistent(forms, preds, bound, full_registry) == any(all(row) for row in rows)
+
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "no-table"])
+    @settings(max_examples=100, deadline=None)
+    @given(_padded_sequents())
+    def test_unmentioned_predicates_change_no_answer(self, full_registry, table, sequent):
+        # The fragment is monadic: declaring predicates that no form
+        # mentions changes no answer. Without a table (forced here at small
+        # sizes) the oracle decides the query over the mentioned ones only.
+        preds, padded, bound, forms = sequent
+        *premises, conclusion = forms
+
+        def answers(declared):
+            return (
+                entails(premises, conclusion, declared, bound, full_registry),
+                consistent(forms, declared, bound, full_registry),
+            )
+
+        expected = answers(preds)
+        with pytest.MonkeyPatch.context() as mp, _counting_walks() as walks:
+            if not table:
+                mp.setattr(logic, "MAX_TABLE_BITS", 0)
+                logic._classes.cache_clear()
+                logic._satisfiable.cache_clear()
+            try:
+                assert answers(padded) == expected
+            finally:
+                logic._classes.cache_clear()
+        assert all(cells <= 1 << len(preds) for cells, _ in walks)
+        assert not walks or not table
+
+    def test_a_space_without_a_table_is_decided_over_the_mentioned_predicates(
+        self, short_registry
+    ):
+        assert logic._classes(len(_EIGHT), 3)[1] is None
+        target = Only(some(ITALIAN, AndConc(Atom(WARM), Atom(BLOND))))
+        known = [all_(ITALIAN, Atom(WARM)), some(ITALIAN, TRUE)]
+        with _counting_walks() as walks:
+            for forms in (
+                [*known, target], [*known, NotLF(target)], [target, all_(ITALIAN, Atom(BLOND))]
+            ):
+                assert consistent(forms, _EIGHT, 3, short_registry) == consistent(
+                    forms, ITALIAN_PREDS, 3, short_registry
+                )
+            assert entails(known, some(ITALIAN, Atom(WARM)), _EIGHT, 3, short_registry)
+        assert all(cells <= 1 << 3 for cells, _ in walks)
 
     def test_only_without_scale_rejected(self):
         with pytest.raises(ScaleError):
@@ -699,8 +761,8 @@ class TestInterning:
 
     def test_equality_and_hash_are_identity(self):
         # equal live nodes are one object, so object's own slots decide
-        assert "__eq__" not in vars(logic.Interned)
-        assert "__hash__" not in vars(logic.Interned)
+        assert "__eq__" not in vars(syntax.Interned)
+        assert "__hash__" not in vars(syntax.Interned)
         assert all(type(node).__hash__ is object.__hash__ for node in _NODES)
         assert Quantifier.__hash__ is object.__hash__
         # alternative sets hold tags, and the per-set memos hash the sets;
@@ -783,6 +845,32 @@ class TestInterning:
         assert Scale((SOME, MOST)) is scale
         assert runs == [(SOME, MOST)]
 
+    def test_a_dead_nodes_entry_goes_and_a_replaced_entry_stays(self):
+        # each entry is one weak reference that carries its own key, and
+        # its callback drops the entry only while the entry is still it
+        table, key = syntax._INTERNED, (PredicateSym, "intern-probe", "stative")
+        node = PredicateSym("intern-probe")
+        ref = table[key]
+        assert type(ref) is syntax._KeyedRef and ref.key == key and ref() is node
+        del node
+        gc.collect()
+        assert ref() is None and key not in table
+        # another value took the key while the first one's callback was
+        # pending (which keeps that reference alive): the new entry stays
+        node = PredicateSym("intern-probe")
+        pending = table[key]
+        stand_in = object.__new__(PredicateSym)  # outside the table
+        replacement = syntax._KeyedRef(stand_in, syntax._forget)
+        replacement.key = key
+        with syntax._TABLE_LOCK:
+            table[key] = replacement
+        del node
+        gc.collect()
+        assert pending() is None and table.get(key) is replacement
+        del stand_in
+        gc.collect()
+        assert key not in table
+
     def test_a_call_omitting_a_default_is_a_table_hit(self, monkeypatch):
         runs = []
         post_init = PredicateSym.__post_init__
@@ -859,14 +947,14 @@ class TestInterning:
         forms = [parse_lf(t, preds) for t in texts]
         assert all(a is b for a, b in zip(forms, kept[rounds - 1]))
         for form in forms:
-            assert logic._INTERNED[(type(form), *form._fields())]() is form
+            assert syntax._INTERNED[(type(form), *form._fields())]() is form
 
 
 def _rebuild(node):
     """node built again bottom-up, every node through its constructor."""
     if isinstance(node, tuple):
         return tuple(_rebuild(x) for x in node)
-    if isinstance(node, logic.Interned):
+    if isinstance(node, syntax.Interned):
         return type(node)(*(_rebuild(getattr(node, name)) for name in node.__match_args__))
     return node
 
@@ -878,7 +966,7 @@ def _structurally_equal(a, b) -> bool:
             isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
             and all(_structurally_equal(x, y) for x, y in zip(a, b))
         )
-    if isinstance(a, logic.Interned) or isinstance(b, logic.Interned):
+    if isinstance(a, syntax.Interned) or isinstance(b, syntax.Interned):
         return type(a) is type(b) and all(
             _structurally_equal(getattr(a, name), getattr(b, name))
             for name in a.__match_args__
@@ -886,7 +974,7 @@ def _structurally_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _interned_classes(cls=logic.Interned):
+def _interned_classes(cls=syntax.Interned):
     for sub in cls.__subclasses__():
         yield sub
         yield from _interned_classes(sub)
@@ -913,11 +1001,11 @@ class TestInternedContract:
 
     @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
     def test_fields_cannot_be_assigned_or_deleted(self, node):
-        assert issubclass(logic.FrozenInstanceError, AttributeError)
+        assert issubclass(syntax.FrozenInstanceError, AttributeError)
         for name in type(node).__match_args__ + ("other",):
-            with pytest.raises(logic.FrozenInstanceError):
+            with pytest.raises(syntax.FrozenInstanceError):
                 setattr(node, name, None)
-            with pytest.raises(logic.FrozenInstanceError):
+            with pytest.raises(syntax.FrozenInstanceError):
                 delattr(node, name)
         assert node == type(node)(*node._fields())
 
@@ -942,7 +1030,7 @@ class TestInternedContract:
         assert type(node)(**dict(zip(names, node._fields()))) is node
         assert pickle.loads(pickle.dumps(node)) is node
         # the intern table holds it under the key of its fields
-        assert logic._INTERNED[(type(node), *node._fields())]() is node
+        assert syntax._INTERNED[(type(node), *node._fields())]() is node
 
     def test_keywords_and_defaults_bind_as_a_dataclass_does(self):
         assert PredicateSym("won", temporal_class="eventive") is WON
@@ -995,14 +1083,14 @@ class TestInternedContract:
 
 
 class TestRecords:
-    """The engine's records (``logic.record``) are slotted namedtuples that
+    """The engine's records (``syntax.record``) are slotted namedtuples that
     equal only records of their own class, and whose ``_replace`` builds
     through the constructor."""
 
     def test_records_of_different_classes_with_equal_fields_differ(self):
         from felicity import Alternative
 
-        class Twin(logic.record("Alternative", "form tag")):
+        class Twin(syntax.record("Alternative", "form tag")):
             __slots__ = ()
 
         clause = some(ITALIAN, Atom(WARM))
@@ -1081,7 +1169,7 @@ def _validate_then_compute(holds, fails, preds, bound, scales):
         raise ValueError("bound must be >= 1")
     declared = {p.name for p in preds}
     for lf in holds + fails:
-        used = {p.name for p in logic._form_facts(lf).preds}
+        used = {p.name for p in syntax._form_facts(lf).preds}
         if not used <= declared:
             raise DeclarationError(
                 f"undeclared predicates {sorted(used - declared)} in {lf!r}"
@@ -1123,6 +1211,17 @@ _DOUBLY_INVALID = {
         DeclarationError, (Only(no(ITALIAN, Atom(WARM))),), (_UNDECLARED,), _TWO, 3, _REGISTRY),
     "a repeated name and an undeclared name": (DeclarationError, (_UNDECLARED,), (),
                                                (ITALIAN, WARM, PredicateSym("warm")), 3, None),
+}
+
+# Queries on a space without a table (_EIGHT at bound 3), the error each
+# raises, and the query as (holds, fails, preds, bound, scales).
+_NO_TABLE_INVALID = {
+    "undeclared predicate": (DeclarationError, (some(ITALIAN, Atom(LEFT)),), (), _EIGHT, 3, None),
+    "a non-form": (TypeError, (_ONE[0], Atom(WARM)), (), _EIGHT, 3, None),
+    "repeated names": (WellFormednessError, tuple(_ONE), (),
+                       _EIGHT[:7] + (PredicateSym("warm"),), 3, None),
+    "over budget": (ResourceBudgetError, tuple(_ONE), (), _EIGHT + (PredicateSym("extra"),), 3,
+                    None),
 }
 
 # A predicate that the queries below never declare.
@@ -1204,19 +1303,31 @@ class TestFrontDoor:
     def test_existence_premises_are_built_once_per_form_tuple(self):
         a, b = PredicateSym("door_import_a"), PredicateSym("door_import_b")
         forms = (some(b, Atom(a)), all_(a, Atom(b)))
-        built = logic.existence_premises(forms)
+        built = syntax.existence_premises(forms)
         assert built == (some(a, TRUE), some(b, TRUE))
-        assert logic.existence_premises(forms) is built  # looked up, not rebuilt
-        assert logic.existence_premises(list(forms)) is built
-        assert logic.existence_premises(iter(forms)) is built
+        assert syntax.existence_premises(forms) is built  # looked up, not rebuilt
+        assert syntax.existence_premises(list(forms)) is built
+        assert syntax.existence_premises(iter(forms)) is built
         with pytest.raises(TypeError, match="^not a logical form: "):
-            logic.existence_premises([forms[0], [forms[1]]])
+            syntax.existence_premises([forms[0], [forms[1]]])
 
     @pytest.mark.parametrize("case", sorted(_DOUBLY_INVALID))
     def test_a_doubly_invalid_query_raises_its_first_fault(self, case):
         expected, *query = _DOUBLY_INVALID[case]
         for _ in range(2):  # never cached
-            assert _outcome(logic._ask, logic._satisfiable, *query) == _outcome(
+            assert _outcome(syntax._ask, logic._satisfiable, *query) == _outcome(
+                _validate_then_compute, *query
+            )
+        assert _outcome(_validate_then_compute, *query)[0] is expected
+
+    @pytest.mark.parametrize("case", sorted(_NO_TABLE_INVALID))
+    def test_a_space_without_a_table_raises_what_the_up_front_checks_raise(self, case):
+        # the projection onto the mentioned predicates comes after the space's
+        # checks, and a form's fault is still reported against the declared ones
+        assert logic._classes(len(_EIGHT), 3)[1] is None
+        expected, *query = _NO_TABLE_INVALID[case]
+        for _ in range(2):  # never cached
+            assert _outcome(syntax._ask, logic._satisfiable, *query) == _outcome(
                 _validate_then_compute, *query
             )
         assert _outcome(_validate_then_compute, *query)[0] is expected
@@ -1252,20 +1363,20 @@ class TestFrontDoor:
     def test_checks_made_on_failure_give_the_up_front_outcome(self, query):
         expected = _outcome(_validate_then_compute, *query)
         for _ in range(2):
-            assert _outcome(logic._ask, logic._satisfiable, *query) == expected
+            assert _outcome(syntax._ask, logic._satisfiable, *query) == expected
         event(f"outcome: {expected if type(expected) is bool else expected[0].__name__}")
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_forms(_POOL, 3), _scopes(_POOL, 3), st.sampled_from(_POOL)))
     def test_form_facts_match_a_whole_tree_walk(self, node):
         facts = _walk_facts(node)
-        assert logic.node_facts(node) == facts
+        assert syntax.node_facts(node) == facts
         if facts[0]:
-            assert logic.lf_predicates(node) == facts[1]
+            assert syntax.lf_predicates(node) == facts[1]
             assert analyze_reading(node) is _walk_reading(node)
         else:
             with pytest.raises(TypeError, match="^not a logical form: "):
-                logic.lf_predicates(node)
+                syntax.lf_predicates(node)
 
 
 def _walk(node):
@@ -1276,7 +1387,7 @@ def _walk(node):
         if isinstance(x, tuple):
             for y in x:
                 visit(y)
-        elif isinstance(x, logic.Interned):
+        elif isinstance(x, syntax.Interned):
             nodes.append(x)
             if not isinstance(x, PredicateSym):
                 for name in x.__match_args__:

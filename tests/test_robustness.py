@@ -43,7 +43,8 @@ from felicity import (
 from felicity.cli import main
 from felicity.alternatives import _presupposition
 from felicity.judge import RULES, _clauses, _record, _step
-from felicity.logic import BUDGET_BITS, _expand_qi, children, node_facts
+from felicity.logic import BUDGET_BITS
+from felicity.syntax import _expand_qi, children, node_facts
 
 QUANTIFIERS = ("some", "most", "all", "no", "qi")
 # Scales the scale check accepts, and one it refuses.

@@ -39,7 +39,7 @@ def subclasses(cls):
         yield sub
         yield from subclasses(sub)
 
-classes = list(subclasses(felicity.logic.Interned))
+classes = list(subclasses(felicity.syntax.Interned))
 own = sorted(
     f"{cls.__name__}.{name}"
     for cls in classes
@@ -59,7 +59,7 @@ print(repr({
     "own": own,
     "dataclasses": sorted(c.__name__ for c in defined if hasattr(c, "__dataclass_fields__")),
     "records": sorted(
-        c.__name__ for c in defined if c.__eq__ is felicity.logic._record_eq
+        c.__name__ for c in defined if c.__eq__ is felicity.syntax._record_eq
     ),
     "tuples": {c.__name__: vars(c).get("__slots__") for c in defined if issubclass(c, tuple)},
 }))
