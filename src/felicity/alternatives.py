@@ -30,7 +30,7 @@ from .syntax import (
     Quant,
     SOME,
     TRUE,
-    _ask,
+    _uncached,
     existence_premises,
     lf_predicates,
     record,
@@ -227,7 +227,10 @@ def presupposition(lf: LogicalForm, variant: PresupVariant) -> LogicalForm | Non
     to its prejacent first. Other forms have no presupposition rule: None.
     Built once per clause and variant, then looked up.
     """
-    return _ask(_presupposition, lf, variant)
+    try:
+        return _presupposition(lf, variant)
+    except TypeError:
+        return _uncached(_presupposition, (lf, variant))
 
 
 @lru_cache(maxsize=1024)

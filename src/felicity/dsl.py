@@ -368,8 +368,11 @@ def parse_scenario(text: str, source: str = "<scenario>", bound: int | None = No
     """Parse and fully validate one (scenario ...) form.
 
     ``bound``, when given, replaces the scenario's model-size bound (its
-    ``(individuals N)`` or the default), and every check runs at it.
+    ``(individuals N)`` or the default), and every check runs at it. It
+    must be an ``int`` of at least 1; anything else is a ScenarioError.
     """
+    if bound is not None and (type(bound) is not int or bound < 1):
+        raise ScenarioError(f"{source}: bound must be an integer >= 1, got {bound!r}")
     return _parse(text, _build_scenario, source, bound)
 
 

@@ -306,17 +306,18 @@ def _step(trace: list[TraceStep], ctx: ContextState, rule: str, *inputs):
     """Compute ``rule`` on the inputs, append the step to the trace and
     return the value. Only the step's text comes from a memo."""
     value = RULES[rule].compute(ctx, *inputs)
-    trace.append(_record(rule, inputs, value))
+    trace.append(_record(rule, value, *inputs))
     return value
 
 
 @lru_cache(maxsize=8192)
-def _record(rule: str, inputs: tuple, value) -> TraceStep:
+def _record(rule: str, value, *inputs) -> TraceStep:
     """The trace step of ``rule`` on the inputs with the value it computed:
     the inputs rendered by their kinds, the value by the rule's renderer.
-    No renderer reads the context, so the arguments are the whole key, and
-    a repeated step costs one lookup. ``replay_step`` never reads this
-    memo: it renders what it recomputes itself."""
+    No renderer reads the context, so the arguments are the whole key, with
+    no tuple of inputs inside it, and a repeated step costs one lookup.
+    ``replay_step`` never reads this memo: it renders what it recomputes
+    itself."""
     kinds, _, output = RULES[rule]
     # Every rule takes one or two inputs; spelled out, rendering them costs
     # no comprehension frame.
@@ -501,7 +502,9 @@ _PREDICTORS = {
 
 
 def judge(scenario: Scenario) -> Judgment:
-    """Run every enabled predictor on the scenario target.
+    """Run every enabled predictor on the scenario target, once per theory:
+    of repeated names the first is kept, as ``(theories ...)`` and
+    ``--theories`` keep it.
 
     The aggregate is odd iff at least one enabled theory fires. Continuation
     verdicts are computed against the context updated with the target.
@@ -517,7 +520,8 @@ def judge(scenario: Scenario) -> Judgment:
     unknown = [n for n in scenario.enabled_theories if n not in _PREDICTORS]
     if unknown:
         raise FelicityError(f"unknown theories {unknown}; pick from {THEORY_NAMES}")
-    verdicts = tuple(_PREDICTORS[n](scenario.target, ctx) for n in scenario.enabled_theories)
+    theories = dict.fromkeys(scenario.enabled_theories)
+    verdicts = tuple(_PREDICTORS[n](scenario.target, ctx) for n in theories)
     continuations = tuple(
         (c, continuation_felicity(ctx, scenario.target, c))
         for c in scenario.continuations

@@ -28,7 +28,7 @@ those, so clauses over other names, another predicate order or another
 scenario share it. An invalid sequent or space is never cached, and it
 raises the same error on every call. ``entails_with_existential_import``
 takes two lookups: the existence premises of its forms come from a cache
-keyed by the form tuple, and the extended sequent then goes to ``entails``.
+keyed by the forms, and the extended sequent then goes to ``entails``.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .syntax import (
     WellFormednessError,
     _ask,
     _form_facts,
+    _uncached,
     existence_premises,
 )
 
@@ -481,14 +482,15 @@ def _truth(
 
 @lru_cache(maxsize=32768)
 def _satisfiable(
-    holds: tuple[LogicalForm, ...],
-    fails: tuple[LogicalForm, ...],
     preds: tuple[PredicateSym, ...],
     bound: int,
     scales: "ScaleRegistry | None",
+    n_fails: int,
+    *forms: LogicalForm,
 ) -> bool:
-    """True iff some class (see ``_classes``) makes every form of holds
-    true and every form of fails false.
+    """True iff some class (see ``_classes``) makes the last ``n_fails``
+    forms false and every other form true. The arguments are the whole
+    cache key, with no tuple of forms inside it.
 
     Only the model space is checked up front. The forms are checked by
     their bitsets: ``_truth`` and ``_cells`` visit every node and atom, and
@@ -508,18 +510,19 @@ def _satisfiable(
         space = preds
         models, rows = _classes(len(preds), bound)
         if rows is None:
-            mentioned = {p.name for lf in holds + fails for p in _form_facts(lf).preds}
+            mentioned = {p.name for lf in forms for p in _form_facts(lf).preds}
             space = tuple(p for p in preds if p.name in mentioned)
             models = _classes(len(space), bound)[0]
-        for lf in holds:
+        split = len(forms) - n_fails
+        for lf in forms[:split]:
             models &= _truth(lf, space, bound, scales)
-        for lf in fails:
+        for lf in forms[split:]:
             models &= ~_truth(lf, space, bound, scales)
     except Exception:
         # Whatever raised, a form's fault comes first unless the bound's
         # does; a bound that cannot be compared raises here as it did above.
         if not bound < 1:
-            _check_forms(holds + fails, preds)
+            _check_forms(forms, preds)
         raise
     return models != 0
 
@@ -545,7 +548,11 @@ def entails(
 ) -> bool:
     """True iff no model of size <= bound satisfies all premises and
     falsifies the conclusion."""
-    return not _ask(_satisfiable, tuple(premises), (conclusion,), tuple(preds), bound, scales)
+    query = (tuple(preds), bound, scales, 1, *premises, conclusion)
+    try:
+        return not _satisfiable(*query)
+    except TypeError:
+        return not _uncached(_satisfiable, query)
 
 
 def consistent(
@@ -555,7 +562,11 @@ def consistent(
     scales: "ScaleRegistry | None" = None,
 ) -> bool:
     """True iff some model of size <= bound satisfies every member."""
-    return _ask(_satisfiable, tuple(lfs), (), tuple(preds), bound, scales)
+    query = (tuple(preds), bound, scales, 0, *lfs)
+    try:
+        return _satisfiable(*query)
+    except TypeError:
+        return _uncached(_satisfiable, query)
 
 
 def entails_with_existential_import(

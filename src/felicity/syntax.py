@@ -472,11 +472,15 @@ def existence_premises(lfs: Iterable[LogicalForm]) -> tuple[LogicalForm, ...]:
     """``(some r true)`` for every quantifier restrictor r anywhere in the
     forms, one per name, in name order: the existential import of lfs.
     Built once per tuple of forms, then looked up."""
-    return _ask(_existence_premises, tuple(lfs))
+    lfs = tuple(lfs)
+    try:
+        return _existence_premises(*lfs)
+    except TypeError:
+        return _uncached(_existence_premises, lfs)
 
 
 @lru_cache(maxsize=4096)
-def _existence_premises(lfs: tuple[LogicalForm, ...]) -> tuple[LogicalForm, ...]:
+def _existence_premises(*lfs: LogicalForm) -> tuple[LogicalForm, ...]:
     restrictors: dict[str, PredicateSym] = {}
     for lf in lfs:
         for r in _form_facts(lf).restrictors:
@@ -500,7 +504,10 @@ def expand_qi(restrictor: PredicateSym, scope: PredExpr, scale) -> OrLF:
     conditions are existential. Built once per clause and scale, then
     looked up.
     """
-    return _ask(_expand_qi, restrictor, scope, scale)
+    try:
+        return _expand_qi(restrictor, scope, scale)
+    except TypeError:
+        return _uncached(_expand_qi, (restrictor, scope, scale))
 
 
 @lru_cache(maxsize=1024)
@@ -515,12 +522,22 @@ def _ask(cached, *args):
     arguments that checks them only on a miss. An invalid query
     is never cached, so it raises afresh every time. A query with an
     unhashable argument (a list in form position, say) is answered
-    uncached, so that the check names the culprit."""
+    uncached, so that the check names the culprit. The front doors of
+    the hot memos call their cache directly, so that a hit costs no frame
+    of this function, and call ``_uncached`` on a ``TypeError``."""
     try:
         return cached(*args)
     except TypeError:
-        try:
-            hash(args)
-        except TypeError:
-            return cached.__wrapped__(*args)
-        raise
+        return _uncached(cached, args)
+
+
+def _uncached(cached, args: tuple):
+    """Called while the ``TypeError`` that ``cached(*args)`` raised is being
+    handled: the uncached answer when args cannot be hashed, since the
+    cache raised before the query was checked; otherwise the query itself
+    raised, after its one check, and the error is raised again."""
+    try:
+        hash(args)
+    except TypeError:
+        return cached.__wrapped__(*args)
+    raise

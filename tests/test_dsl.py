@@ -367,6 +367,18 @@ class TestParseScenario:
         )
         assert s.enabled_theories == ("magri-blind", "del-pinal")
 
+    @pytest.mark.parametrize("bound", [0, -1, "3", 3.0, True, [3]], ids=repr)
+    def test_a_bound_that_is_not_an_int_of_at_least_1_is_a_scenario_error(self, bound):
+        # only FelicityError escapes parsing; the oracle's own ValueError
+        # (bound 0) or a comparison's TypeError ("3") must not
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(SCENARIO_4, source="s.sexp", bound=bound)
+        assert str(err.value) == f"s.sexp: bound must be an integer >= 1, got {bound!r}"
+
+    @pytest.mark.parametrize("bound", [1, 3, 8])
+    def test_a_bound_of_at_least_1_replaces_the_scenarios(self, bound):
+        assert parse_scenario(SCENARIO_4, bound=bound).max_universe == bound
+
     def test_explicit_defaults_do_not_change_judgment(self):
         implicit = parse_scenario(
             "(scenario imp (predicates (italian :stative) (warm :stative))"

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,7 @@ from felicity import (
     NO,
     NotLF,
     Only,
+    OrLF,
     ParseError,
     PredicateSym,
     Quant,
@@ -30,6 +36,7 @@ from felicity import (
     TraceStep,
     Verdict,
     analyze_reading,
+    build_report,
     consistent,
     judge,
     parse_pexpr,
@@ -39,8 +46,11 @@ from felicity import (
     predict_magri_blind,
     predict_presupposed_ignorance,
     replay_step,
+    report_from_dict,
+    report_to_dict,
 )
-from felicity.judge import _record
+from felicity import logic, syntax
+from felicity.judge import RULES, _record
 from conftest import (
     BLOND,
     ITALIAN,
@@ -355,6 +365,19 @@ class TestJudge:
         assert [v.theory for v in j.theories] == ["magri-blind"]
         assert j.aggregate is Verdict.FELICITOUS
 
+    def test_a_repeated_theory_is_judged_once(self, short_registry):
+        # as (theories ...) and --theories keep the first of repeated names;
+        # two rows of one theory would make a report its own reader refuses
+        ck = (ALL_WARM, EXIST)
+        s = self._scenario("twice", SENTENCE_1, ITALIAN_PREDS, ck, short_registry,
+                           enabled_theories=("magri-blind", "del-pinal", "magri-blind"))
+        j = judge(s)
+        assert [v.theory for v in j.theories] == ["magri-blind", "del-pinal"]
+        once = judge(s._replace(enabled_theories=("magri-blind", "del-pinal")))
+        assert j == once
+        data = report_to_dict(build_report(s.name, j))
+        assert report_to_dict(report_from_dict(data)) == data
+
     def test_continuations_judged_after_target(self, short_registry):
         s = self._scenario(
             "conj-continued",
@@ -493,6 +516,36 @@ class TestTraceIntegrity:
             outputs.append({step.output for step in steps})
         assert outputs == [{"inconsistent"}, {"consistent"}]
 
+    def test_no_memo_key_holds_a_tuple_of_forms(self, short_registry):
+        # Each cached answer is kept under its flat argument tuple, the one
+        # key object lru_cache stores; an inner tuple of forms or of inputs
+        # would be a second container per entry for the collector to track.
+        # A memo's referents include each entry's key and result.
+        memos = (logic._satisfiable, _record, syntax._existence_premises)
+        for memo in memos:
+            memo.cache_clear()
+        ck = (ALL_WARM, EXIST)
+        for target in (SENTENCE_1, SENTENCE_4, SENTENCE_14):  # a split, an expansion
+            judge(Scenario(name="keys", preds=ITALIAN_PREDS, target=target,
+                           scales=short_registry, common_knowledge=ck))
+        forms = (Quant, Only, NotLF, AndLF, OrLF)
+
+        def holds_forms(value):
+            return type(value) is tuple and any(type(x) in forms for x in value)
+
+        for memo in memos:
+            keys = [x for x in gc.get_referents(memo) if type(x) is tuple]
+            assert len(keys) >= memo.cache_info().currsize > 0
+            for key in keys:
+                if memo is _record:  # (rule, value, *inputs); a value may be forms
+                    assert len(key) == 2 + len(RULES[key[0]].inputs), key
+                    key = key[:1] + key[2:]
+                elif memo is logic._satisfiable:  # (preds, bound, scales, n_fails, *forms)
+                    assert all(type(p) is PredicateSym for p in key[0]), key
+                    assert key[1:3] == (4, short_registry) and key[3] in (0, 1), key
+                    assert all(type(x) in forms for x in key[4:]), key
+                assert not any(holds_forms(x) for x in key), key
+
     @pytest.mark.parametrize(
         "step, message",
         [
@@ -536,3 +589,53 @@ class TestTraceIntegrity:
             parse_pexpr("german", ITALIAN_PREDS)
         assert str(replayed.value) == str(parsed.value)
         assert "undeclared predicate 'german'" in str(replayed.value)
+
+
+# Runs in a fresh interpreter, so that only the work below can have built
+# the garbage it finds. With DEBUG_SAVEALL a collection keeps what it finds
+# unreachable in gc.garbage instead of freeing it.
+_NO_CYCLES_PROBE = """
+import gc, sys
+from pathlib import Path
+import felicity
+root = Path(sys.argv[1])
+fixtures = [p.read_text() for p in sorted((root / "fixtures").glob("*.sexp"))]
+eight = (root / "tests" / "data" / "magri-4-eight-predicates.sexp").read_text()
+malformed = [
+    "(scenario broken (predicates (a :stative))",
+    "(scenario undeclared (predicates (a :stative)) (target (some b true)))",
+    "(scenario clash (predicates (a :stative) (b :stative))"
+    " (common-knowledge (all a b) (some a true) (no a b)) (target (some a b)))",
+]
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+jobs = [(text, bound) for text in fixtures for bound in (3, 4, 5)] * 2 + [(eight, None)]
+for text, bound in jobs:
+    scenario = felicity.parse_scenario(text, bound=bound)
+    report = felicity.build_report(scenario.name, felicity.judge(scenario))
+    felicity.render_report(report, "json")
+for text in malformed:
+    try:
+        felicity.parse_scenario(text)
+    except felicity.FelicityError:
+        continue
+    raise SystemExit(f"accepted {text}")
+print(len(jobs), gc.collect(), len(gc.garbage))
+"""
+
+
+def test_judging_builds_no_reference_cycles():
+    # Nothing that judging, reporting or refusing a scenario builds may form
+    # a cycle: the collector would then have garbage to find, and its
+    # collections during a pass are otherwise pure overhead.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_CYCLES_PROBE, str(root)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["61", "0", "0"]

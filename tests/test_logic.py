@@ -1150,13 +1150,14 @@ _ORACLES = {
 }
 
 
-def _count_validations(monkeypatch) -> list:
-    """Give the oracle an empty cache whose misses are listed: each miss
-    runs the uncached body once, and with it every check the query gets."""
+def _count_validations(monkeypatch, module=logic, memo="_satisfiable") -> list:
+    """Give the oracle (or another memo) an empty cache whose misses are
+    listed: each miss runs the uncached body once, and with it every check
+    the query gets."""
     misses = []
-    body = logic._satisfiable.__wrapped__
+    body = getattr(module, memo).__wrapped__
     counted = lru_cache(maxsize=None)(lambda *args: misses.append(args) or body(*args))
-    monkeypatch.setattr(logic, "_satisfiable", counted)
+    monkeypatch.setattr(module, memo, counted)
     return misses
 
 
@@ -1182,6 +1183,12 @@ def _validate_then_compute(holds, fails, preds, bound, scales):
     for lf in fails:
         models &= ~logic._truth(lf, preds, bound, scales)
     return models != 0
+
+
+def _ask_oracle(holds, fails, preds, bound, scales):
+    """The oracle's memo asked the way its front doors ask it: the space,
+    the number of forms that must fail, then every form flat."""
+    return syntax._ask(logic._satisfiable, preds, bound, scales, len(fails), *holds, *fails)
 
 
 def _outcome(f, *args):
@@ -1300,6 +1307,23 @@ class TestFrontDoor:
                 _ORACLES[oracle](*query)
             assert len(checks) == calls
 
+    @pytest.mark.parametrize("door, memo, query, message", [
+        ("existence_premises", "_existence_premises", ((Atom(WARM),),), "^not a logical form: "),
+        # a hashable scale whose members are None
+        ("expand_qi", "_expand_qi", (ITALIAN, Atom(WARM), type("Scale", (), {"members": None})()),
+         "is not iterable"),
+    ], ids=["existence_premises", "expand_qi"])
+    def test_a_syntax_memo_checks_a_hashable_invalid_query_once_per_call(
+        self, door, memo, query, message, monkeypatch
+    ):
+        # the front door calls its memo directly; only an argument the memo
+        # cannot hash sends the call to the uncached body
+        checks = _count_validations(monkeypatch, syntax, memo)
+        for calls in (1, 2):
+            with pytest.raises(TypeError, match=message):
+                getattr(syntax, door)(*query)
+            assert len(checks) == calls
+
     def test_existence_premises_are_built_once_per_form_tuple(self):
         a, b = PredicateSym("door_import_a"), PredicateSym("door_import_b")
         forms = (some(b, Atom(a)), all_(a, Atom(b)))
@@ -1315,9 +1339,7 @@ class TestFrontDoor:
     def test_a_doubly_invalid_query_raises_its_first_fault(self, case):
         expected, *query = _DOUBLY_INVALID[case]
         for _ in range(2):  # never cached
-            assert _outcome(syntax._ask, logic._satisfiable, *query) == _outcome(
-                _validate_then_compute, *query
-            )
+            assert _outcome(_ask_oracle, *query) == _outcome(_validate_then_compute, *query)
         assert _outcome(_validate_then_compute, *query)[0] is expected
 
     @pytest.mark.parametrize("case", sorted(_NO_TABLE_INVALID))
@@ -1327,9 +1349,7 @@ class TestFrontDoor:
         assert logic._classes(len(_EIGHT), 3)[1] is None
         expected, *query = _NO_TABLE_INVALID[case]
         for _ in range(2):  # never cached
-            assert _outcome(syntax._ask, logic._satisfiable, *query) == _outcome(
-                _validate_then_compute, *query
-            )
+            assert _outcome(_ask_oracle, *query) == _outcome(_validate_then_compute, *query)
         assert _outcome(_validate_then_compute, *query)[0] is expected
 
     def test_a_subclass_of_a_form_class_is_not_a_form(self):
@@ -1347,7 +1367,7 @@ class TestFrontDoor:
             "for form in (sub, NotLF(sub), Only(sub)):",
             "    for holds, fails in (((form,), ()), ((), (form,))):",
             "        try:",
-            "            print(logic._satisfiable(holds, fails, (a, b), 2, None))",
+            "            print(logic._satisfiable((a, b), 2, None, len(fails), *holds, *fails))",
             "        except TypeError as exc:",
             "            print(str(exc).partition('(')[0])",
         ])
@@ -1363,7 +1383,7 @@ class TestFrontDoor:
     def test_checks_made_on_failure_give_the_up_front_outcome(self, query):
         expected = _outcome(_validate_then_compute, *query)
         for _ in range(2):
-            assert _outcome(syntax._ask, logic._satisfiable, *query) == expected
+            assert _outcome(_ask_oracle, *query) == expected
         event(f"outcome: {expected if type(expected) is bool else expected[0].__name__}")
 
     @settings(max_examples=300, deadline=None)
