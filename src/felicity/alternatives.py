@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 from .logic import DEFAULT_BOUND, entails, entails_with_existential_import
@@ -30,7 +30,9 @@ from .syntax import (
     Quant,
     SOME,
     TRUE,
+    _intern,
     _uncached,
+    children,
     existence_premises,
     lf_predicates,
     record,
@@ -101,6 +103,32 @@ def _variants(lf: LogicalForm, scales: ScaleRegistry) -> list[LogicalForm]:
         for value in lf._fields()
     ]
     return [type(lf)(*values) for values in product(*fields)]
+
+
+# The most alternatives a target clause may have. ``_variants`` builds the
+# product of the scale-mates at every quantified node, so the count grows
+# exponentially with the clauses of a target; a parse refuses a target over
+# this budget (``dsl``). It is 3**6: six clauses on a three-member scale.
+ALTERNATIVE_BUDGET = 729
+
+
+@lru_cache(maxsize=1024)
+def alternative_count(lf: LogicalForm, scales: ScaleRegistry) -> int:
+    """``len(_variants(lf, scales))``, without building them: the product,
+    over lf's quantified nodes, of the size of each node's scale (1 for a
+    quantifier on no scale). Memoized, so that a warm parse that checks the
+    budget pays one lookup."""
+    count = 1
+    stack = [lf]
+    while stack:
+        node = stack.pop()
+        if type(node) is Quant:
+            scale = scales.scale_for(node.quantifier)
+            if scale is not None:
+                count *= len(scale.members)
+        else:
+            stack += children(node)
+    return count
 
 
 def _declared(lf: LogicalForm) -> tuple[PredicateSym, ...]:
@@ -185,10 +213,11 @@ def exh(
     if alts.origin != lf:
         raise ValueError("alternative set was computed for a different origin")
     preds = _declared(lf)
-    negations = [
-        NotLF(m) for m in alts.stronger() if not entails([lf], m, preds, bound, scales)
-    ]
-    return reduce(AndLF, negations, lf)
+    out = lf
+    for m in alts.stronger():
+        if not entails((lf,), m, preds, bound, scales):
+            out = _intern(AndLF, out, _intern(NotLF, m))
+    return out
 
 
 def disjunction_ignorance(disj: OrLF, ctx: ContextState) -> tuple[LogicalForm, ...]:

@@ -31,9 +31,9 @@ parentheses per form) and parsing inverts it structurally.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
 from itertools import combinations
 
+from .alternatives import ALTERNATIVE_BUDGET, alternative_count
 from .context import Verdict
 from .logic import DEFAULT_BOUND, check_budget, consistent
 from .syntax import (
@@ -41,6 +41,7 @@ from .syntax import (
     AndLF,
     AndSeq,
     Atom,
+    EVENTIVE,
     FelicityError,
     LogicalForm,
     NotLF,
@@ -53,11 +54,13 @@ from .syntax import (
     Quantifier,
     ResourceBudgetError,
     ScaleError,
+    STATIVE,
     TRUE,
     TruePred,
     WellFormednessError,
     _IDENT_RE,
     _RESERVED,
+    _intern,
     children,
     record,
 )
@@ -73,6 +76,7 @@ THEORY_NAMES = (
 )
 
 _QUANTS = {q.value: q for q in Quantifier}
+_TEMPORAL_WORDS = {":stative": STATIVE, ":eventive": EVENTIVE}
 
 
 class ScenarioError(FelicityError):
@@ -116,7 +120,7 @@ def _build_pexpr(node: SNode, tokens: list[str], preds: Mapping[str, PredicateSy
         pred = preds.get(text)
         if pred is None:
             pred = _lookup(node, tokens, preds)
-        return Atom(pred)
+        return _intern(Atom, pred)
     if len(node) == 1:
         raise TokenError("empty predicate expression", node)
     # The head is read inline, as _expect_atom would read it.
@@ -127,16 +131,16 @@ def _build_pexpr(node: SNode, tokens: list[str], preds: Mapping[str, PredicateSy
     if head == "not":
         if len(node) != 3:
             raise TokenError("not takes exactly one operand", node)
-        return NotP(_build_pexpr(node[2], tokens, preds))
+        return _intern(NotP, _build_pexpr(node[2], tokens, preds))
     if head in ("and-conc", "and-seq"):
         if len(node) != 4:
             raise TokenError(f"{head} takes exactly two operands", node)
         left = _build_pexpr(node[2], tokens, preds)
         right = _build_pexpr(node[3], tokens, preds)
         if head == "and-conc":
-            return AndConc(left, right)
+            return _intern(AndConc, left, right)
         try:
-            return AndSeq(left, right)
+            return _intern(AndSeq, left, right)
         except WellFormednessError as exc:
             raise TokenError(str(exc), node) from None
     raise TokenError(f"unknown predicate operator {head!r}", node[1])
@@ -165,12 +169,12 @@ def _build_lf(
         restrictor = preds.get(tokens[name]) if type(name) is int else None
         if restrictor is None:
             restrictor = _lookup(name, tokens, preds)
-        return Quant(quantifier, restrictor, _build_pexpr(node[3], tokens, preds))
+        return _intern(Quant, quantifier, restrictor, _build_pexpr(node[3], tokens, preds))
     if head == "only":
         if len(node) != 3:
             raise TokenError("only takes exactly one clause", node)
         try:
-            only = Only(_build_lf(node[2], tokens, preds, scales))
+            only = _intern(Only, _build_lf(node[2], tokens, preds, scales))
         except WellFormednessError as exc:
             raise TokenError(str(exc), node) from None
         q = only.body.quantifier
@@ -180,17 +184,19 @@ def _build_lf(
     if head == "not":
         if len(node) != 3:
             raise TokenError("not takes exactly one form", node)
-        return NotLF(_build_lf(node[2], tokens, preds, scales))
+        return _intern(NotLF, _build_lf(node[2], tokens, preds, scales))
     if head == "and":
         if len(node) != 4:
             raise TokenError("and takes exactly two forms", node)
-        return AndLF(
-            _build_lf(node[2], tokens, preds, scales), _build_lf(node[3], tokens, preds, scales)
+        return _intern(
+            AndLF,
+            _build_lf(node[2], tokens, preds, scales),
+            _build_lf(node[3], tokens, preds, scales),
         )
     if head == "or":
         if len(node) < 3:
             raise TokenError("or takes at least one form", node)
-        return OrLF(tuple(_build_lf(item, tokens, preds, scales) for item in node[2:]))
+        return _intern(OrLF, tuple([_build_lf(item, tokens, preds, scales) for item in node[2:]]))
     raise TokenError(f"unknown quantifier or form {head!r}", node[1])
 
 
@@ -226,26 +232,33 @@ def parse_predicate(text: str, preds: Iterable[PredicateSym] | Mapping[str, Pred
     return _parse(text, _lookup, _pred_table(preds))
 
 
-# Traces and reports render the same few forms many times over.
-@lru_cache(maxsize=8192)
 def render_lf(node: LogicalForm | PredExpr) -> str:
     """Canonical text for a logical form or a predicate expression;
     parse_lf(render_lf(x)) is x, and so is parse_pexpr(render_lf(x)).
 
     A clause renders as (quantifier restrictor scope), an atom as its
-    predicate's name, and every other node as (keyword operand...).
+    predicate's name, and every other node as (keyword operand...). Traces
+    and reports render the same few forms many times over, so a node's
+    text is built on its first call and then kept on it, as ``node_facts``
+    keeps its facts.
     """
+    text = getattr(node, "_text", None)
+    if text is not None:
+        return text
     cls = type(node)
     if cls is Quant:
-        return f"({node.quantifier.value} {node.restrictor.name} {render_lf(node.scope)})"
-    if cls is Atom:
-        return node.pred.name
-    if cls is TruePred:
-        return cls.keyword
-    keyword = getattr(cls, "keyword", None)
-    if keyword is None:
-        raise TypeError(f"not a logical form or predicate expression: {node!r}")
-    return f"({keyword} {' '.join(map(render_lf, children(node)))})"
+        text = f"({node.quantifier.value} {node.restrictor.name} {render_lf(node.scope)})"
+    elif cls is Atom:
+        text = node.pred.name
+    elif cls is TruePred:
+        text = cls.keyword
+    else:
+        keyword = getattr(cls, "keyword", None)
+        if keyword is None:
+            raise TypeError(f"not a logical form or predicate expression: {node!r}")
+        text = f"({keyword} {' '.join(map(render_lf, children(node)))})"
+    object.__setattr__(node, "_text", text)
+    return text
 
 
 render_pexpr = render_lf
@@ -318,13 +331,14 @@ def _parse_predicates(section: list, tokens: list[str]) -> dict[str, PredicateSy
             raise TokenError("each predicate declaration is (name :stative|:eventive)", node)
         name = _ident(node[1], tokens, "a predicate name")
         klass = _expect_atom(node[2], tokens, "a temporal class")
-        if klass not in (":stative", ":eventive"):
+        temporal_class = _TEMPORAL_WORDS.get(klass)
+        if temporal_class is None:
             raise TokenError(
                 f"temporal class must be :stative or :eventive, got {klass!r}", node[2]
             )
         if name in preds:
             raise TokenError(f"duplicate predicate {name!r}", node)
-        preds[name] = PredicateSym(name, klass[1:])
+        preds[name] = _intern(PredicateSym, name, temporal_class)
     if not preds:
         raise TokenError("at least one predicate declaration required", section)
     return preds
@@ -332,24 +346,28 @@ def _parse_predicates(section: list, tokens: list[str]) -> dict[str, PredicateSy
 
 def _parse_scales(section: list, tokens: list[str]) -> ScaleRegistry:
     scales = []
+    earlier = set()  # the members of the scales before this one
     for node in section[2:]:
         if type(node) is int or len(node) == 1:
             raise TokenError("each scale is a list of quantifiers", node)
         members = []
         for item in node[1:]:
             quant = _expect_atom(item, tokens, "a quantifier")
-            if quant not in _QUANTS:
+            q = _QUANTS.get(quant)
+            if q is None:
                 raise TokenError(f"unknown quantifier {quant!r}", item)
-            if any(_QUANTS[quant] in scale for scale in scales):
+            if q in earlier:
                 raise TokenError(f"{quant!r} is already on an earlier scale", node)
-            members.append(_QUANTS[quant])
+            members.append(q)
         try:
-            scales.append(Scale(tuple(members)))
+            scale = _intern(Scale, tuple(members))
         except ScaleError as exc:
             raise TokenError(str(exc), node) from None
+        scales.append(scale)
+        earlier.update(scale.members)
     if not scales:
         raise TokenError("at least one scale required in (scales ...)", section)
-    return ScaleRegistry(tuple(scales))
+    return _intern(ScaleRegistry, tuple(scales))
 
 
 def _minimal_inconsistent_subset(
@@ -432,6 +450,10 @@ def _build_scenario(root: SNode, tokens: list[str], source: str, bound: int | No
     if len(target_node) != 3:
         raise TokenError("(target LF) takes exactly one form", target_node)
     target = _build_lf(target_node[2], tokens, preds, scales)
+    if alternative_count(target, scales) > ALTERNATIVE_BUDGET:
+        raise TokenError(
+            f"target has more than {ALTERNATIVE_BUDGET} scalar alternatives", target_node
+        )
 
     continuations = lf_list("continuations")
 

@@ -548,11 +548,10 @@ def entails(
 ) -> bool:
     """True iff no model of size <= bound satisfies all premises and
     falsifies the conclusion."""
-    query = (tuple(preds), bound, scales, 1, *premises, conclusion)
     try:
-        return not _satisfiable(*query)
+        return not _satisfiable(tuple(preds), bound, scales, 1, *premises, conclusion)
     except TypeError:
-        return not _uncached(_satisfiable, query)
+        return not _uncached(_satisfiable, (tuple(preds), bound, scales, 1, *premises, conclusion))
 
 
 def consistent(
@@ -562,11 +561,10 @@ def consistent(
     scales: "ScaleRegistry | None" = None,
 ) -> bool:
     """True iff some model of size <= bound satisfies every member."""
-    query = (tuple(preds), bound, scales, 0, *lfs)
     try:
-        return _satisfiable(*query)
+        return _satisfiable(tuple(preds), bound, scales, 0, *lfs)
     except TypeError:
-        return _uncached(_satisfiable, query)
+        return _uncached(_satisfiable, (tuple(preds), bound, scales, 0, *lfs))
 
 
 def entails_with_existential_import(

@@ -92,33 +92,43 @@ def _forget(ref: _KeyedRef, table: dict = _INTERNED, lock=_TABLE_LOCK):
 
 
 class _Interning(type):
-    """Metaclass of ``Interned``: a call binds its arguments to the fields,
-    returns the live value with those fields if there is one, and builds
-    (and validates) a new value only otherwise."""
+    """Metaclass of ``Interned``: a call binds its arguments to the fields
+    and hands them to ``_intern``."""
 
     def __call__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):
             args = _bind(cls, args, kwargs)
-        try:
-            ref = _INTERNED.get((cls, *args))
-        except TypeError:  # an unhashable argument, e.g. a list
-            ref = None
-        value = ref() if ref is not None else None
-        if value is not None:
-            return value
-        value = super().__call__(*args)
-        # Keyed by the stored fields, which __post_init__ may have
-        # normalized (a list of members to a tuple, say).
-        key = (cls, *value._fields())
-        with _TABLE_LOCK:
-            ref = _INTERNED.get(key)
-            live = ref() if ref is not None else None
-            if live is None:
-                live = value
-                ref = _KeyedRef(value, _forget)
-                ref.key = key
-                _INTERNED[key] = ref
-        return live
+        return _intern(cls, *args)
+
+
+def _intern(cls: type, *fields):
+    """The live value of ``cls`` whose stored fields are ``fields``, if
+    there is one; otherwise a new value, built (and validated) from them and
+    inserted. This is the one path to the intern table. Engine code that
+    holds fields exactly as a value stores them (tuples, not lists) calls it
+    directly, and skips the class call's binding. Fields in another form (a
+    list for a tuple) miss the lookup; the build normalizes them, and the
+    insert then finds any live equal value, as through the class."""
+    try:
+        ref = _INTERNED.get((cls, *fields))
+    except TypeError:  # an unhashable field, e.g. a list
+        ref = None
+    value = ref() if ref is not None else None
+    if value is not None:
+        return value
+    value = type.__call__(cls, *fields)
+    # Keyed by the stored fields, which __post_init__ may have
+    # normalized (a list of members to a tuple, say).
+    key = (cls, *value._fields())
+    with _TABLE_LOCK:
+        ref = _INTERNED.get(key)
+        live = ref() if ref is not None else None
+        if live is None:
+            live = value
+            ref = _KeyedRef(value, _forget)
+            ref.key = key
+            _INTERNED[key] = ref
+    return live
 
 
 class Interned(metaclass=_Interning):
@@ -127,14 +137,15 @@ class Interned(metaclass=_Interning):
     Equality is identity, and so is the hash: ``object``'s own slots, with
     no Python-level ``__eq__`` or ``__hash__``. That is sound because two
     live values with equal fields are always one object. Every supported
-    way to make a value goes through the intern table: a call of the class,
-    and so ``_replace``, and pickling and ``copy``/``deepcopy``, which
-    rebuild through the constructor (``__reduce__``). The table itself is
-    race-free: the lookup that finds no live value and the insert that
-    follows happen under one lock, so threads that build the same new value
-    concurrently all get one object back. ``object.__new__`` on a node
-    class bypasses the table; it is not a supported constructor, and a
-    value made that way equals nothing but itself.
+    way to make a value goes through the intern table's one path,
+    ``_intern``: a call of the class, and so ``_replace``, and pickling and
+    ``copy``/``deepcopy``, which rebuild through the constructor
+    (``__reduce__``). The table itself is race-free: the lookup that finds
+    no live value and the insert that follows happen under one lock, so
+    threads that build the same new value concurrently all get one object
+    back. ``object.__new__`` on a node class bypasses the table; it is not
+    a supported constructor, and a value made that way equals nothing but
+    itself.
 
     A subclass declares its fields as annotations, in order, and a default
     as a class attribute of the same name. ``__init_subclass__`` reads them
@@ -142,14 +153,14 @@ class Interned(metaclass=_Interning):
     installs ``_fields()`` (the field values). ``__init__``, ``__repr__``
     and the frozen ``__setattr__``/``__delattr__`` are written here once.
     The class call binds positional, keyword and default arguments to the
-    fields and looks them up in the intern table. Only on a miss does
-    ``__init__`` run: it stores the bound values and calls
+    fields and looks them up in the intern table (``_intern``). Only on a
+    miss does ``__init__`` run: it stores the bound values and calls
     ``__post_init__``, which may validate and may rebind fields through
     ``object.__setattr__``. An operator node also names its ``keyword``,
     the word that heads it in the concrete syntax. ``children`` walks any
     node through its fields, and ``dsl.render_lf`` writes any node from
-    its keyword. Nodes stay plain classes, not tuples: the table holds
-    weak references to them.
+    its keyword and keeps the text on it. Nodes stay plain classes, not
+    tuples: the table holds weak references to them.
     """
 
     __match_args__: tuple[str, ...] = ()

@@ -6,7 +6,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from felicity import (
     ALL,
@@ -42,7 +42,12 @@ from felicity import (
     render_lf,
     substitution_alternatives,
 )
-from felicity.alternatives import _presupposition
+from felicity.alternatives import (
+    ALTERNATIVE_BUDGET,
+    _presupposition,
+    _variants,
+    alternative_count,
+)
 from felicity.syntax import _expand_qi, lf_predicates
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, WARM
 
@@ -177,6 +182,17 @@ def _nested_forms(depth):
 def test_alternatives_of_nested_forms_come_in_per_class_order(lf, scales):
     expected = dict.fromkeys(v for v in _per_class_variants(lf, scales) if v is not lf)
     assert substitution_alternatives(lf, scales, 2).forms() == tuple(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested_forms(2), st.sampled_from(_REGISTRIES))
+def test_the_alternative_count_is_the_number_of_variants(lf, scales):
+    # the parse refuses a target over the budget by this count, before any
+    # variant is built
+    count = alternative_count(lf, scales)
+    assume(count <= ALTERNATIVE_BUDGET)
+    assert count == len(_variants(lf, scales))
+    assert count == len(_per_class_variants(lf, scales))
 
 
 @settings(max_examples=200, deadline=None)

@@ -140,6 +140,21 @@ class TestRun:
         assert code == 2
         assert f"{big}: line 2, col 3: bound 30 x 1 predicates exceeds" in err
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_a_target_over_the_alternative_budget_exits_2_at_once(self, command):
+        # 20 disjuncts on (some all): 2**20 alternatives, which would take
+        # gigabytes to build; the parse counts them first and refuses
+        path = ROOT / "tests" / "data" / "alternative-budget.sexp"
+        done = subprocess.run(
+            [sys.executable, "-m", "felicity.cli", command, str(path)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"error: {path}: line 5, col 3: target has more than 729 scalar alternatives\n"
+        )
+
     def test_continuations_after_a_refused_target(self, capsys, tmp_path):
         # magri-3's target contradicts its context, so nothing can follow it
         refused = tmp_path / "refused.sexp"

@@ -38,9 +38,12 @@ from felicity import (
     parse_pexpr,
     parse_scenario,
     render_lf,
+    render_pexpr,
     render_report,
     report_to_dict,
 )
+from felicity import syntax
+from felicity.alternatives import ALTERNATIVE_BUDGET
 from felicity.dsl import parse_predicate
 from felicity.report import report_from_dict
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, LEFT, PORTUGAL, WARM, WON
@@ -171,6 +174,21 @@ class TestRenderLf:
         text = render_lf(lf)
         assert text == "(not (only (some italian (not warm))))"
         assert parse_lf(text, PREDS) == lf
+
+    def test_the_text_is_kept_on_the_node(self):
+        lf = NotLF(Quant(MOST, ITALIAN, AndConc(Atom(WARM), NotP(Atom(BLOND)))))
+        text = render_lf(lf)
+        assert lf._text is text and render_lf(lf) is text
+        assert lf.body.scope._text == "(and-conc warm (not blond))"
+        assert not hasattr(render_lf, "cache_info")  # no separate cache
+        assert render_pexpr is render_lf
+
+    @pytest.mark.parametrize(
+        "value", [ITALIAN, "(some italian warm)", [Atom(WARM)], None, ("not", Atom(WARM))]
+    )
+    def test_a_non_node_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="^not a logical form or predicate expression: "):
+            render_lf(value)
 
 
 # --- generator for random well-formed forms --------------------------------
@@ -322,6 +340,45 @@ class TestParseScenario:
         assert s.scales.scales[0].members == (SOME, MOST, ALL)
         assert s.enabled_theories == THEORY_NAMES
         assert s.expect is None
+
+    def test_a_warm_reparse_of_a_dialogue_turn_calls_no_node_class(self, monkeypatch):
+        # a turn re-reads its growing discourse; every node it builds is
+        # live, and the builders probe the intern table without the class call
+        text = (
+            "(scenario d0t03 (individuals 4)"
+            " (predicates (player :stative) (won :eventive) (blond :stative))"
+            " (scales (some all))"
+            " (common-knowledge (some player won))"
+            " (discourse (some player blond) (some player (and-seq won won))"
+            " (only (some player (and-conc blond blond))) (or (all player true) (no player won)))"
+            " (target (not (some player (and-conc won (not blond)))))"
+            " (continuations (all player blond)))"
+        )
+        first = parse_scenario(text)
+        calls = []
+        call = syntax._Interning.__call__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(cls.__name__)
+            return call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(syntax._Interning, "__call__", counted)
+        again = parse_scenario(text)
+        assert again == first and again.target is first.target
+        assert calls == []
+
+    def test_a_target_over_the_alternative_budget_is_refused_where_it_stands(self):
+        # 7 clauses on the 3-member default scale: 3**7 = 2187 alternatives
+        clauses = " ".join(f"(some a {'(not (not ' * i}b{'))' * i})" for i in range(7))
+        text = f"(scenario big (predicates (a :stative) (b :stative))\n  (target (or {clauses})))"
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert str(err.value) == (
+            f"line 2, col 3: target has more than {ALTERNATIVE_BUDGET} scalar alternatives"
+        )
+        # 6 clauses, 729, are within it; so is any target on a shorter scale
+        parse_scenario(text.replace(" (some a b)", ""))
+        parse_scenario(text.replace("(target", "(scales (some all)) (target"))
 
     def test_duplicate_predicate(self):
         with pytest.raises(ParseError):

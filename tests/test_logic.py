@@ -803,6 +803,10 @@ class TestInterning:
         disjuncts = [some(ITALIAN, Atom(WARM)), all_(ITALIAN, Atom(BLOND))]
         listed = OrLF(disjuncts)
         assert listed is OrLF(tuple(disjuncts))
+        # a list cannot be looked up, so _intern builds, normalizes, and
+        # gets the live node back, as the class call does
+        assert syntax._intern(OrLF, disjuncts) is listed
+        assert syntax._INTERNED[(OrLF, tuple(disjuncts))]() is listed
         assert render_lf(listed) == "(or (some italian warm) (all italian blond))"
         model = Model(["a"], {"italian": ["a"], "warm": [], "blond": ["a"]})
         assert evaluate(listed, model) is True
@@ -1064,6 +1068,36 @@ class TestInternedContract:
     def test_bad_arguments_raise_type_error(self, build, message):
         with pytest.raises(TypeError, match=message):
             build()
+
+    @pytest.mark.parametrize("node", _NODES, ids=_NODE_IDS)
+    def test_intern_with_the_stored_fields_is_the_class_call(self, node):
+        # the engine's warm paths call _intern with fields exactly as stored
+        cls, fields = type(node), node._fields()
+        assert syntax._intern(cls, *fields) is cls(*fields) is node
+
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            (AndSeq, (Atom(WARM), Atom(LEFT))),  # no eventive atom on the left
+            (AndSeq, (Atom(WON), TRUE)),
+            (Only, (NotLF(_CLAUSE),)),  # only over a non-clause
+            (OrLF, ((),)),
+            (OrLF, ([],)),
+            (PredicateSym, ("two words", "stative")),
+            (PredicateSym, ("some", "stative")),
+            (PredicateSym, (3, "stative")),
+            (PredicateSym, ("fine", "timeless")),
+            (Scale, ((SOME, SOME),)),
+            (Scale, ((ALL, SOME),)),
+        ],
+    )
+    def test_a_miss_through_intern_raises_what_the_class_call_raises(self, cls, fields):
+        with pytest.raises(Exception) as by_class:
+            cls(*fields)
+        with pytest.raises(Exception) as by_intern:
+            syntax._intern(cls, *fields)
+        assert type(by_intern.value) is type(by_class.value)
+        assert str(by_intern.value) == str(by_class.value)
 
     def test_a_wrapped_init_sees_each_new_scale_and_no_table_hit(self, monkeypatch):
         # as perfbench/tracer.py counts scale builds
