@@ -66,6 +66,7 @@ from .judge import (
     TheoryVerdict,
     TraceStep,
     analyze_reading,
+    bound_complete,
     judge,
     predict_del_pinal,
     predict_indirect_contradiction,

@@ -28,6 +28,7 @@ from .syntax import (
     OrLF,
     PredicateSym,
     Quant,
+    ResourceBudgetError,
     SOME,
     TRUE,
     _intern,
@@ -108,7 +109,8 @@ def _variants(lf: LogicalForm, scales: ScaleRegistry) -> list[LogicalForm]:
 # The most alternatives a target clause may have. ``_variants`` builds the
 # product of the scale-mates at every quantified node, so the count grows
 # exponentially with the clauses of a target; a parse refuses a target over
-# this budget (``dsl``). It is 3**6: six clauses on a three-member scale.
+# this budget (``dsl``), and ``substitution_alternatives`` a form over it.
+# It is 3**6: six clauses on a three-member scale.
 ALTERNATIVE_BUDGET = 729
 
 
@@ -152,10 +154,13 @@ def substitution_alternatives(
     lf's predicates in lf's first-seen order, and its oracle queries declare
     just those; it has lf's restrictors too, so one tuple of existence
     premises serves every question. A form with no scalar item on any
-    scale gets an empty set, which is not an error. Memoized: every
-    predictor asks for the alternatives of the same clauses, and the result
-    is immutable.
+    scale gets an empty set, which is not an error. A form with more than
+    ``ALTERNATIVE_BUDGET`` alternatives raises ``ResourceBudgetError``
+    before any is built. Memoized: every predictor asks for the
+    alternatives of the same clauses, and the result is immutable.
     """
+    if alternative_count(lf, scales) > ALTERNATIVE_BUDGET:
+        raise ResourceBudgetError(f"form has more than {ALTERNATIVE_BUDGET} scalar alternatives")
     preds = _declared(lf)
     existence = existence_premises((lf,))
     members = []
@@ -179,7 +184,9 @@ def prune_settled(alts: AlternativeSet, ctx: ContextState) -> AlternativeSet:
     keep = tuple(
         alt for alt in alts.members if not settled_by_discourse(ctx, alt.form)
     )
-    return AlternativeSet(origin=alts.origin, members=keep)
+    # alts was checked when it was built, and none of its members is its
+    # origin, so AlternativeSet.__new__'s scan would change nothing.
+    return tuple.__new__(AlternativeSet, (alts.origin, keep))
 
 
 # ---------------------------------------------------------------------------

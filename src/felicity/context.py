@@ -115,9 +115,13 @@ def settled_by_discourse(ctx: ContextState, lf: LogicalForm) -> bool:
 
 def update_discourse(ctx: ContextState, lf: LogicalForm) -> ContextState:
     """Append lf to the discourse record; the original state is unchanged."""
-    if not consistent(ctx.facts + (lf,), ctx.preds, ctx.bound, ctx.scales):
+    common_knowledge, discourse, preds, bound, scales = ctx
+    if not consistent(common_knowledge + discourse + (lf,), preds, bound, scales):
         raise UpdateContradictionError(lf)
-    return ctx._replace(discourse=ctx.discourse + (lf,))
+    # ctx's fields are normalized, and the query above is the one
+    # ContextState.__init__ would ask of the new state, so _replace's class
+    # call would change nothing; tuple.__new__ skips it.
+    return tuple.__new__(ContextState, (common_knowledge, discourse + (lf,), preds, bound, scales))
 
 
 def continuation_felicity(

@@ -32,6 +32,7 @@ from .alternatives import (
 )
 from .context import (
     ContextState,
+    InconsistentContextError,
     Verdict,
     contextually_entails,
     continuation_felicity,
@@ -52,9 +53,11 @@ from .syntax import (
     AndLF,
     FelicityError,
     LogicalForm,
+    MOST,
     Only,
     Quant,
     SOME,
+    children,
     expand_qi,
     node_facts,
     record,
@@ -484,7 +487,9 @@ def _traced_clauses(
 
 def _verdict(theory: str, fired: list[Mechanism], trace: list[TraceStep]) -> TheoryVerdict:
     """The verdict of a theory; the first mechanism that fired names it."""
-    return TheoryVerdict(theory, fired[0] if fired else Mechanism.NONE, tuple(trace))
+    mechanism = fired[0] if fired else Mechanism.NONE
+    # All three fields are bound, so the class call would change nothing.
+    return tuple.__new__(TheoryVerdict, (theory, mechanism, tuple(trace)))
 
 
 _PREDICTORS = {
@@ -510,11 +515,8 @@ def judge(scenario: Scenario) -> Judgment:
     verdicts are computed against the context updated with the target.
     """
     ctx = ContextState(
-        common_knowledge=scenario.common_knowledge,
-        discourse=scenario.discourse,
-        preds=scenario.preds,
-        bound=scenario.max_universe,
-        scales=scenario.scales,
+        scenario.common_knowledge, scenario.discourse, scenario.preds, scenario.max_universe,
+        scenario.scales,
     )
     reading = analyze_reading(scenario.target)
     unknown = [n for n in scenario.enabled_theories if n not in _PREDICTORS]
@@ -523,7 +525,35 @@ def judge(scenario: Scenario) -> Judgment:
     theories = dict.fromkeys(scenario.enabled_theories)
     verdicts = tuple(_PREDICTORS[n](scenario.target, ctx) for n in theories)
     continuations = tuple(
-        (c, continuation_felicity(ctx, scenario.target, c))
-        for c in scenario.continuations
+        (c, continuation_felicity(ctx, scenario.target, c)) for c in scenario.continuations
     )
-    return Judgment(reading, verdicts, continuations)
+    # All three fields are bound, so the class call would change nothing.
+    return tuple.__new__(Judgment, (reading, verdicts, continuations))
+
+
+def bound_complete(scenario: Scenario) -> bool:
+    """Whether the scenario's judgment at its bound holds in models of every
+    size. Without ``most``, a form's truth depends only on which of the 2**k
+    cells of its k predicates are occupied (``qi`` reads as ``some``,
+    ``and-seq`` as ``and-conc``), and one individual per occupied cell
+    realizes any set of them, so bound 2**k answers every oracle question as
+    all finite models do. So, if no form or scale has ``most`` and k <= 3
+    (8 x 3 fits the enumeration budget), the judgment is complete iff the
+    bound is at least 2**k or the judgment at 2**k is the same; equal
+    judgments give equal reports. Any other scenario is merely bounded."""
+    k = len(scenario.preds)
+    if k > 3 or any(MOST in scale for scale in scenario.scales.scales):
+        return False
+    stack = [*scenario.common_knowledge, *scenario.discourse, scenario.target]
+    stack += scenario.continuations
+    while stack:
+        node = stack.pop()
+        if type(node) is Quant and node.quantifier is MOST:
+            return False
+        stack += children(node)
+    if scenario.max_universe >= 2**k:
+        return True
+    try:  # a context refused at the bound may be admitted at 2**k
+        return judge(scenario) == judge(scenario._replace(max_universe=2**k))
+    except InconsistentContextError:
+        return False

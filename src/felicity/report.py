@@ -34,20 +34,30 @@ class Report(record("Report", "scenario reading aggregate theories continuations
     __slots__ = ()
 
 
+# The verdict word, indexed by whether a mechanism fired: the rule that
+# ``TheoryVerdict.verdict`` and ``Judgment.aggregate`` state.
+_VERDICT_WORDS = (Verdict.FELICITOUS._value_, Verdict.ODD._value_)
+
+
 def build_report(name: str, judgment: Judgment) -> Report:
     # ``_value_`` is each enum member's own attribute; ``.value`` would cost
-    # a Python-level descriptor call per field.
-    return Report(
-        scenario=name,
-        reading=judgment.reading._value_,
-        aggregate=judgment.aggregate._value_,
-        theories=tuple(
-            TheoryRow(v.theory, v.verdict._value_, v.mechanism._value_, v.trace)
-            for v in judgment.theories
-        ),
-        continuations=tuple(
-            (render_lf(form), verdict._value_) for form, verdict in judgment.continuations
-        ),
+    # a Python-level descriptor call per field. TheoryRow and Report only
+    # bind their fields, and every field is given, so the class calls would
+    # change nothing; tuple.__new__ skips their keyword binding.
+    rows = []
+    odd = False
+    for theory, mechanism, trace in judgment.theories:
+        fired = mechanism is not Mechanism.NONE
+        odd = odd or fired
+        rows.append(
+            tuple.__new__(TheoryRow, (theory, _VERDICT_WORDS[fired], mechanism._value_, trace))
+        )
+    continuations = []
+    for form, verdict in judgment.continuations:
+        continuations.append((render_lf(form), verdict._value_))
+    return tuple.__new__(
+        Report,
+        (name, judgment.reading._value_, _VERDICT_WORDS[odd], tuple(rows), tuple(continuations)),
     )
 
 

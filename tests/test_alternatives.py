@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from felicity import (
     ALL,
+    AlternativeSet,
     AndConc,
     AndLF,
     Atom,
@@ -23,6 +24,7 @@ from felicity import (
     PresupVariant,
     QI,
     Quant,
+    ResourceBudgetError,
     SOME,
     Scale,
     ScaleError,
@@ -40,6 +42,7 @@ from felicity import (
     presupposition,
     prune_settled,
     render_lf,
+    settled_by_discourse,
     substitution_alternatives,
 )
 from felicity.alternatives import (
@@ -177,11 +180,24 @@ def _nested_forms(depth):
     )
 
 
+def _alternatives_in_budget(lf, scales):
+    """The alternatives of lf at bound 2, or None once a form over the budget
+    is seen to be refused before any of them is built."""
+    if alternative_count(lf, scales) <= ALTERNATIVE_BUDGET:
+        return substitution_alternatives(lf, scales, 2)
+    with pytest.raises(ResourceBudgetError, match="more than 729 scalar alternatives"):
+        substitution_alternatives(lf, scales, 2)
+    return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(_nested_forms(2), st.sampled_from(_REGISTRIES))
 def test_alternatives_of_nested_forms_come_in_per_class_order(lf, scales):
+    alts = _alternatives_in_budget(lf, scales)
+    if alts is None:
+        return
     expected = dict.fromkeys(v for v in _per_class_variants(lf, scales) if v is not lf)
-    assert substitution_alternatives(lf, scales, 2).forms() == tuple(expected)
+    assert alts.forms() == tuple(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,7 +218,8 @@ def test_every_alternative_names_its_origins_predicates_in_order(lf, scales):
     def names(form):
         return list(dict.fromkeys(p.name for p in lf_predicates(form)))
 
-    for alt in substitution_alternatives(lf, scales, 2).forms():
+    alts = _alternatives_in_budget(lf, scales)
+    for alt in alts.forms() if alts is not None else ():
         assert names(alt) == names(lf)
 
 
@@ -234,6 +251,22 @@ class TestPruneSettled:
         )
         pruned = prune_settled(alts, ctx)
         assert pruned.forms() == (ALL_CONJ,)
+
+    @pytest.mark.parametrize(
+        "discourse",
+        [(), (ALL_WARM,), (Quant(NO, ITALIAN, Atom(BLOND)),), (SOME_WARM, NotLF(ALL_CONJ))],
+        ids=["empty", "all", "no", "two"],
+    )
+    def test_the_pruned_set_is_the_class_built_one(self, discourse, full_registry):
+        # prune_settled builds its set without AlternativeSet's origin scan;
+        # the value must be the one the class call builds
+        ctx = ctx_with(discourse=discourse)
+        for origin in (SOME_WARM, SOME_CONJ, AndLF(SOME_WARM, Quant(MOST, ITALIAN, Atom(BLOND)))):
+            alts = substitution_alternatives(origin, full_registry)
+            kept = tuple(a for a in alts.members if not settled_by_discourse(ctx, a.form))
+            pruned = prune_settled(alts, ctx)
+            assert pruned == AlternativeSet(alts.origin, kept)
+            assert type(pruned) is AlternativeSet and pruned.members == kept
 
     def test_empty_discourse_is_identity(self, full_registry):
         ctx = ctx_with()

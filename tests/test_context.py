@@ -26,9 +26,11 @@ from felicity import (
     continuation_felicity,
     k_holds,
     p_holds,
+    render_lf,
     settled_by_discourse,
     update_discourse,
 )
+from felicity import context
 from conftest import BLOND, ITALIAN, ITALIAN_PREDS, WARM
 
 
@@ -217,6 +219,35 @@ class TestUpdate:
             update_discourse(ctx, NotLF(ALL_WARM))
         # the form is named in the concrete syntax, not as a Python repr
         assert str(err.value).endswith(": (not (all italian warm))")
+
+    @pytest.mark.parametrize("lf", POOL, ids=render_lf)
+    def test_the_new_state_is_the_class_built_one(self, lf):
+        # update_discourse builds the state without the class call; it must
+        # equal what _replace, which runs ContextState's checks, builds
+        ctx = ctx_with(ck=(EXIST,), discourse=(SOME_WARM,))
+        updated = update_discourse(ctx, lf)
+        assert updated == ctx._replace(discourse=ctx.discourse + (lf,))
+        assert type(updated) is ContextState
+        assert updated.scales is ctx.scales and updated.common_knowledge is ctx.common_knowledge
+
+    def test_an_update_asks_the_oracle_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return consistent(*args)
+
+        ctx = ctx_with(ck=(EXIST,))
+        monkeypatch.setattr(context, "consistent", counted)
+        update_discourse(ctx, SOME_WARM)
+        assert calls == [((EXIST, SOME_WARM), ctx.preds, ctx.bound, ctx.scales)]
+
+    def test_a_contradiction_is_an_update_error_before_any_state_is_built(self):
+        ctx = ctx_with(ck=(ALL_WARM, EXIST), discourse=(SOME_WARM,))
+        with pytest.raises(UpdateContradictionError) as err:
+            update_discourse(ctx, NotLF(ALL_WARM))
+        assert type(err.value) is UpdateContradictionError and err.value.lf == NotLF(ALL_WARM)
+        assert ctx.discourse == (SOME_WARM,)
 
     def test_tautology_leaves_worlds_unchanged(self):
         ctx = ctx_with(ck=(SOME_WARM,))

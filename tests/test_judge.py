@@ -18,6 +18,8 @@ from felicity import (
     AndSeq,
     Atom,
     ContextState,
+    InconsistentContextError,
+    Judgment,
     Mechanism,
     MOST,
     NO,
@@ -33,13 +35,16 @@ from felicity import (
     Scenario,
     SOME,
     TRUE,
+    TheoryVerdict,
     TraceStep,
     Verdict,
     analyze_reading,
+    bound_complete,
     build_report,
     consistent,
     judge,
     parse_pexpr,
+    parse_scenario,
     predict_del_pinal,
     predict_indirect_contradiction,
     predict_logical_integrity,
@@ -50,7 +55,7 @@ from felicity import (
     report_to_dict,
 )
 from felicity import logic, syntax
-from felicity.judge import RULES, _record
+from felicity.judge import RULES, _record, _verdict
 from conftest import (
     BLOND,
     ITALIAN,
@@ -639,3 +644,150 @@ def test_judging_builds_no_reference_cycles():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["61", "0", "0"]
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_FIXTURES = sorted((_ROOT / "fixtures").glob("*.sexp"))
+
+
+class TestRecords:
+    """``_verdict`` and ``judge`` build their records without the class
+    calls; each value must be the one the class call builds."""
+
+    @pytest.mark.parametrize(
+        "fired",
+        [[], [Mechanism.MISMATCHING_SI], [Mechanism.LOGICAL_INTEGRITY, Mechanism.MISMATCHING_SI]],
+        ids=["none", "one", "two"],
+    )
+    def test_a_verdict_is_the_class_built_one(self, fired):
+        step = TraceStep("ck-consistency", ("(some a b)",), "consistent")
+        verdict = _verdict("magri-blind", fired, [step, step])
+        expected = TheoryVerdict("magri-blind", fired[0] if fired else Mechanism.NONE, (step, step))
+        assert verdict == expected and type(verdict) is TheoryVerdict
+        assert verdict.verdict is expected.verdict and verdict.fired is expected.fired
+
+    @pytest.mark.parametrize("path", _FIXTURES, ids=lambda p: p.stem)
+    def test_a_judgment_is_the_class_built_one(self, path):
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        judgment = judge(scenario)
+        expected = Judgment(
+            judgment.reading,
+            tuple(TheoryVerdict(v.theory, v.mechanism, v.trace) for v in judgment.theories),
+            judgment.continuations,
+        )
+        assert judgment == expected and type(judgment) is Judgment
+        assert all(type(v) is TheoryVerdict for v in judgment.theories)
+        assert judgment.aggregate is expected.aggregate
+
+
+# A fresh interpreter whose address space is capped, so that an engine
+# that builds every one of the 2**20 alternatives fails with MemoryError
+# instead of taking gigabytes from the host.
+_BUDGET_PROBE = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import felicity as f
+text = open(sys.argv[1], encoding="utf-8").read()
+body = text[text.index("(target") + len("(target"):text.index("(expect")].strip()[:-1]
+preds = (f.PredicateSym("a"), f.PredicateSym("b"))
+target = f.parse_lf(body, {p.name: p for p in preds})
+scales = f.ScaleRegistry((f.Scale((f.SOME, f.ALL)),))
+scenario = f.Scenario("alternative-budget", preds, target, 3, scales)
+step = f.TraceStep("alternatives", (f.render_lf(target),), "(none)")
+ctx = f.ContextState(preds=preds, bound=3, scales=scales)
+for name, attempt in (("judge", lambda: f.judge(scenario)),
+                      ("replay", lambda: f.replay_step(step, ctx))):
+    start = time.perf_counter()
+    try:
+        attempt()
+    except f.ResourceBudgetError as exc:
+        print(name, time.perf_counter() - start, exc, sep="|")
+    else:
+        print(name, "accepted", sep="|")
+"""
+
+
+def test_the_engine_refuses_a_form_over_the_alternative_budget_at_once():
+    # The 20-disjunct target of tests/data/alternative-budget.sexp, which
+    # the parser refuses, built in code instead: judge() and the replay of
+    # an alternatives step must refuse it too, before building anything.
+    path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _BUDGET_PROBE, str(_ROOT / "tests/data/alternative-budget.sexp")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line.split("|") for line in done.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["judge", "replay"]
+    for _, seconds, message in lines:
+        assert message == "form has more than 729 scalar alternatives"
+        assert float(seconds) < 1
+
+
+def _with_bound(path: Path, bound: int):
+    return parse_scenario(path.read_text(encoding="utf-8"), bound=bound)
+
+
+# Four of the five cells that make (some b (not a)) consistent, as common
+# knowledge: the five clauses need 5 individuals, so the target is
+# inconsistent with the context at bound 4 and consistent at 5 and above.
+_FIVE_CELLS = """(scenario five-cells
+  (individuals 4)
+  (predicates (a :stative) (b :stative) (c :stative))
+  (scales (some all))
+  (common-knowledge (some a (and-conc b c)) (some a (and-conc b (not c)))
+                    (some a (and-conc (not b) c)) (some a (and-conc (not b) (not c))))
+  (target (some b (not a))))"""
+
+
+class TestBoundComplete:
+    @pytest.mark.parametrize("bound", [2, 3, 4, 5])
+    @pytest.mark.parametrize("path", _FIXTURES, ids=lambda p: p.stem)
+    def test_every_fixture_is_complete(self, path, bound):
+        assert bound_complete(_with_bound(path, bound))
+
+    def test_a_scenario_that_needs_five_individuals_is_not_complete_at_four(self):
+        scenario = parse_scenario(_FIVE_CELLS)
+        assert judge(scenario).aggregate is Verdict.ODD
+        assert not bound_complete(scenario)
+        assert bound_complete(scenario._replace(max_universe=8))
+
+    def test_a_context_refused_at_the_bound_is_not_complete(self):
+        # all five cells as common knowledge, built in code: judge() refuses
+        # the context at bound 4, and bound 8 admits it
+        five = parse_scenario(_FIVE_CELLS)
+        scenario = five._replace(common_knowledge=five.common_knowledge + (five.target,))
+        with pytest.raises(InconsistentContextError):
+            judge(scenario)
+        assert not bound_complete(scenario)
+        assert bound_complete(scenario._replace(max_universe=8))
+
+    def test_the_default_scale_is_not_complete(self):
+        scenario = Scenario("default", ITALIAN_PREDS, SOME_WARM, 8)
+        assert MOST in scenario.scales.scale_for(SOME)
+        assert not bound_complete(scenario)
+
+    @pytest.mark.parametrize("where", ["common_knowledge", "discourse", "target", "continuation"])
+    def test_most_in_any_form_is_not_complete(self, where, short_registry):
+        most = Quant(MOST, ITALIAN, Atom(WARM))
+        forms = {"common_knowledge": (EXIST,), "discourse": (), "continuations": ()}
+        target = SOME_WARM
+        if where == "target":
+            target = AndLF(SOME_WARM, NotLF(most))
+        elif where == "continuation":
+            forms["continuations"] = (NotLF(most),)
+        else:
+            forms[where] += (most,)
+        scenario = Scenario("most", ITALIAN_PREDS, target, 3, short_registry, **forms)
+        assert not bound_complete(scenario)
+        assert not bound_complete(scenario._replace(max_universe=8))
+        most_free = scenario._replace(target=SOME_WARM, **{k: (EXIST,) for k in forms})
+        assert bound_complete(most_free)
+
+    def test_four_predicates_are_not_complete(self, short_registry):
+        scenario = Scenario("four", ITALIAN_PREDS + (TALL,), SOME_WARM, 4, short_registry)
+        assert not bound_complete(scenario)
+        assert bound_complete(scenario._replace(preds=ITALIAN_PREDS))

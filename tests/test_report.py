@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from felicity import (
-    THEORY_NAMES, Mechanism, Reading, build_report, judge, parse_scenario, render_report,
+    SOME, THEORY_NAMES, Atom, Judgment, Mechanism, PredicateSym, Quant, Reading, TheoryVerdict,
+    Verdict, build_report, judge, parse_scenario, render_lf, render_report,
 )
 from felicity.judge import RULES, TraceStep
 from felicity.report import Report, TheoryRow, _step_json, report_from_dict, report_to_dict
@@ -102,6 +103,56 @@ _KNOWN_REPORTS = _reports(
 def _fixture_report(name: str) -> Report:
     s = parse_scenario((ROOT / "fixtures" / f"{name}.sexp").read_text(encoding="utf-8"))
     return build_report(s.name, judge(s))
+
+
+def _class_built(name: str, judgment: Judgment) -> Report:
+    """The report of a judgment built through the record classes and the
+    ``verdict`` and ``aggregate`` properties."""
+    return Report(
+        scenario=name,
+        reading=judgment.reading.value,
+        aggregate=judgment.aggregate.value,
+        theories=tuple(
+            TheoryRow(v.theory, v.verdict.value, v.mechanism.value, v.trace)
+            for v in judgment.theories
+        ),
+        continuations=tuple((render_lf(f), v.value) for f, v in judgment.continuations),
+    )
+
+
+def _assert_built_as_the_classes_build(name: str, judgment: Judgment):
+    report = build_report(name, judgment)
+    assert report == _class_built(name, judgment)
+    assert type(report) is Report
+    assert all(type(row) is TheoryRow for row in report.theories)
+    assert render_report(report, "json") == render_report(_class_built(name, judgment), "json")
+
+
+class TestBuildReport:
+    """build_report writes its records without the class calls; the value
+    must be the one the classes and properties give."""
+
+    @pytest.mark.parametrize("mechanism", list(Mechanism), ids=lambda m: m.value)
+    def test_every_mechanism(self, mechanism):
+        form = Quant(SOME, PredicateSym("a"), Atom(PredicateSym("b")))
+        step = TraceStep("ck-consistency", ("(some a b)",), "consistent")
+        theories = (
+            TheoryVerdict("magri-blind", Mechanism.NONE, (step,)),
+            TheoryVerdict("del-pinal", mechanism, (step, step)),
+        )
+        for continuations in ((), ((form, Verdict.ODD), (form, Verdict.FELICITOUS))):
+            _assert_built_as_the_classes_build("s", Judgment(Reading.SIMPLE, theories, continuations))
+            _assert_built_as_the_classes_build("s", Judgment(Reading.SIMPLE, theories[::-1]))
+
+    def test_no_theories(self):
+        judgment = Judgment(Reading.CONCURRENT_COLLECTIVE, ())
+        _assert_built_as_the_classes_build("s", judgment)
+        assert build_report("s", judgment).aggregate == "felicitous"
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "fixtures").glob("*.sexp")), ids=lambda p: p.stem)
+    def test_every_fixture(self, path):
+        s = parse_scenario(path.read_text(encoding="utf-8"))
+        _assert_built_as_the_classes_build(s.name, judge(s))
 
 
 class TestWriter:
