@@ -727,10 +727,6 @@ def test_the_engine_refuses_a_form_over_the_alternative_budget_at_once():
         assert float(seconds) < 1
 
 
-def _with_bound(path: Path, bound: int):
-    return parse_scenario(path.read_text(encoding="utf-8"), bound=bound)
-
-
 # Four of the five cells that make (some b (not a)) consistent, as common
 # knowledge: the five clauses need 5 individuals, so the target is
 # inconsistent with the context at bound 4 and consistent at 5 and above.
@@ -747,7 +743,7 @@ class TestBoundComplete:
     @pytest.mark.parametrize("bound", [2, 3, 4, 5])
     @pytest.mark.parametrize("path", _FIXTURES, ids=lambda p: p.stem)
     def test_every_fixture_is_complete(self, path, bound):
-        assert bound_complete(_with_bound(path, bound))
+        assert bound_complete(parse_scenario(path.read_text(encoding="utf-8"), bound=bound))
 
     def test_a_scenario_that_needs_five_individuals_is_not_complete_at_four(self):
         scenario = parse_scenario(_FIVE_CELLS)
